@@ -1,17 +1,18 @@
 // Static certification study.
 //
-// The certifier answers the same question as the fault dictionary —
-// which instruments survive which single faults — but by dataflow proof
-// instead of exhaustive syndrome simulation.  This bench measures that
-// trade on the paper networks and an MBIST-class design: wall-clock of
-// a full-universe certification vs. a full dictionary build, how much
-// of the universe the O(1) fast tier absorbs, and the verdict mix.  A
-// row-parity gate replays certifier verdicts through the batched
-// syndrome oracle (full universe on small nets, strided on large ones)
-// and fails the bench on any divergence, so the numbers below are only
-// ever printed for a certifier that agrees with simulation.  The
-// hardened rows show the certifier consuming a hardening plan: excluded
-// primitives leave the fault universe and the vulnerable count drops.
+// The certifier answers which instruments survive which single faults
+// by dataflow proof, and the fault dictionary reads its rows.  This
+// bench measures it on the paper networks and an MBIST-class design:
+// wall-clock of a full-universe certification vs. a full dictionary
+// build (the same certification plus syndrome packing and indexing),
+// how much of the universe the O(1) fast tier absorbs, and the verdict
+// mix.  A row-parity gate replays certifier verdicts through the
+// batched reference engine (full universe on small nets, strided on
+// large ones) and fails the bench on any divergence, so the numbers
+// below are only ever printed for a certifier that agrees with its
+// independent reference.  The hardened rows show the certifier
+// consuming a hardening plan: excluded primitives leave the fault
+// universe and the vulnerable count drops.
 #include <fstream>
 #include <iostream>
 
@@ -37,7 +38,7 @@ struct DesignRow {
   std::uint64_t hardenedVulnRead = 0;
 };
 
-/// Replays every `stride`-th certifier row through the syndrome oracle.
+/// Replays every `stride`-th certifier row through the batched reference.
 /// Returns the number of rows checked; any divergence aborts the bench.
 std::size_t parityGate(const rrsn::rsn::Network& net,
                        const rrsn::verify::CertificationResult& result,
@@ -147,14 +148,14 @@ int main() {
     std::cout << "." << std::flush;
   }
 
-  std::cout << "\n\nStatic certification vs. dictionary simulation\n"
+  std::cout << "\n\nStatic certification vs. dictionary build\n"
             << table
             << "\n(certify = full single-fault universe, both directions; "
                "'fast rows' is the share decided by the O(1) dominator/"
                "stuck-mask tier without running the fixpoint; the parity "
-               "column counts rows replayed through the syndrome oracle — "
-               "a divergence fails this bench, so printed numbers always "
-               "agree with simulation.  Unknown cells: "
+               "column counts rows replayed through the batched reference "
+               "engine — a divergence fails this bench, so printed numbers "
+               "always agree with it.  Unknown cells: "
             << rows.back().summary.unknownCells() << " on "
             << rows.back().name << ")\n";
 

@@ -108,11 +108,11 @@ void BM_GraphOracleSingleFault(benchmark::State& state,
   }
 }
 
-// One dictionary syndrome row for a mid-network segment break — the
-// dominant inner loop of the dictionary build.  The batched engine pays
-// a handful of frontier sweeps over the flat control view; the per-probe
-// reference pays 2*|instruments| retargeted accesses on a fresh
-// simulator.  The ratio of these two rows is the dictionary speedup.
+// One syndrome row for a mid-network segment break.  The batched
+// reference engine pays a handful of frontier sweeps over the flat
+// control view; the per-probe simulator reference pays
+// 2*|instruments| retargeted accesses on a fresh simulator.  The ratio
+// of these two rows is the speedup of static rows over simulation.
 void BM_DictRowBatched(benchmark::State& state, const std::string& name) {
   const rsn::Network& net = netOf(name);
   const diag::BatchedSyndromeEngine engine(net);

@@ -102,14 +102,14 @@ int main() {
   using namespace rrsn;
   const std::string set = bench::envOr("RRSN_SCALABILITY_SET", "medium");
   const std::size_t threads = threadCount();
-  // The batched engine (RRSN_DICT_MODE=batched, the release default)
-  // derives each fault's whole syndrome row from a few frontier sweeps,
-  // so dictionary builds now reach the 10^5-segment tier in minutes
-  // where the per-probe path needed O(|faults|*|instruments|) simulated
-  // accesses.  The gate remains for the 10^6-segment runs — the full
-  // build is still O(|faults| * |vertices|) — which is why the sampled
-  // dictionary stage below runs unconditionally: it proves the kernel
-  // at any size without paying the quadratic sweep.  Skipped stages
+  // The dictionary reads certifier rows, each derived from a few
+  // reachability sweeps, so dictionary builds reach the 10^5-segment
+  // tier in minutes where simulating every access needed
+  // O(|faults|*|instruments|) retargeted accesses.  The gate remains for
+  // the 10^6-segment runs — the full build is still
+  // O(|faults| * |vertices|) — which is why the sampled dictionary stage
+  // below runs unconditionally: it proves the batched row kernel at any
+  // size without paying the quadratic sweep.  Skipped stages
   // carry an explicit "skipped" marker in the JSON so a missing stage
   // is distinguishable from a lost one.
   const std::uint64_t dictMaxSegments =

@@ -7,10 +7,10 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "campaign/checkpoint.hpp"
 #include "diag/batched.hpp"
-#include "diag/diagnosis.hpp"
 #include "fault/effects.hpp"
 #include "lint/lint.hpp"
 #include "obs/obs.hpp"
@@ -18,6 +18,7 @@
 #include "rsn/graph_view.hpp"
 #include "sp/decomposition.hpp"
 #include "support/rng.hpp"
+#include "verify/certifier.hpp"
 
 namespace rrsn::campaign {
 
@@ -178,33 +179,18 @@ void collectDiffs(const FaultRecord& rec, std::size_t instruments,
   }
 }
 
-Expectation expectationFromRow(const diag::Syndrome& row, std::size_t n) {
-  Expectation e{DynamicBitset(n), DynamicBitset(n)};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (row.passed.test(2 * i)) e.observable.set(i);
-    if (row.passed.test(2 * i + 1)) e.settable.set(i);
-  }
-  return e;
-}
-
 }  // namespace
-
-Expectation expectedAccessibility(const rsn::Network& net,
-                                  const rsn::GraphView& /*gv*/,
-                                  const fault::Fault& f) {
-  // One oracle implementation: the batched syndrome engine computes the
-  // exact retargeting semantics (strict, depth-bounded and clean-suffix
-  // break tolerance — see diag/batched.hpp); campaign_test validates it
-  // against the simulator on the example networks, and the dictionary's
-  // verify mode cross-checks it row-for-row against per-probe builds.
-  const diag::BatchedSyndromeEngine engine(net);
-  return expectedAccessibility(engine, net.instruments().size(), f);
-}
 
 Expectation expectedAccessibility(const diag::BatchedSyndromeEngine& engine,
                                   std::size_t instruments,
                                   const fault::Fault& f, std::size_t worker) {
-  return expectationFromRow(engine.row(&f, worker), instruments);
+  const diag::Syndrome row = engine.row(&f, worker);
+  Expectation e{DynamicBitset(instruments), DynamicBitset(instruments)};
+  for (std::size_t i = 0; i < instruments; ++i) {
+    if (row.passed.test(2 * i)) e.observable.set(i);
+    if (row.passed.test(2 * i + 1)) e.settable.set(i);
+  }
+  return e;
 }
 
 CampaignSummary CampaignResult::summary() const {
@@ -599,8 +585,8 @@ void CampaignEngine::buildTransientUniverse() {
 }
 
 /// Per-single-fault oracle rows computed once per run(): the expected
-/// (control-aware) verdicts from the batched syndrome engine plus both
-/// plain structural oracles.  Pair scenarios compose entries by AND;
+/// (control-aware) verdicts from the certifier plus both plain
+/// structural oracles.  Pair scenarios compose entries by AND;
 /// transient scenarios use the fault-free row.
 struct CampaignEngine::OracleCache {
   std::vector<Expectation> expect;       ///< per singles() index
@@ -727,7 +713,7 @@ CampaignResult CampaignEngine::run() {
 
   // Per-single oracle rows, shared by every scenario of the sweep (a
   // pair composes two rows; recomputing them per pair would square the
-  // oracle cost the batched engine exists to avoid).
+  // oracle cost).
   OracleCache oracles;
   {
     RRSN_OBS_SPAN("campaign.oracles");
@@ -740,32 +726,42 @@ CampaignResult CampaignEngine::run() {
     oracles.treeSet.resize(m);
     const rsn::GraphView gv = rsn::buildGraphView(*net_);
     const sp::DecompositionTree tree = sp::DecompositionTree::build(*net_);
-    // The engine itself is per-run (its scratch lanes are sized by the
-    // current thread count), but it shares the arena lowered once at
-    // engine construction — run() never re-flattens.
-    const diag::BatchedSyndromeEngine engine(flat_);
-    oracles.faultFree = expectationFromRow(engine.row(nullptr, 0), n);
-    parallelForChunks(
-        m, [&](std::size_t begin, std::size_t end, std::size_t worker) {
-          for (std::size_t k = begin; k < end; ++k) {
-            const fault::Fault& f = singles_[k];
-            oracles.expect[k] = expectationFromRow(engine.row(&f, worker), n);
-            const fault::AccessibilityLoss graphLoss =
-                fault::lossUnderFaultGraph(*net_, gv, f);
-            const fault::AccessibilityLoss treeLoss =
-                fault::lossUnderFaultTree(tree, f);
-            const auto invert = [n](const DynamicBitset& lost) {
-              DynamicBitset kept(n);
-              kept.setAll();
-              lost.forEachSet([&](std::size_t i) { kept.reset(i); });
-              return kept;
-            };
-            oracles.graphObs[k] = invert(graphLoss.unobservable);
-            oracles.graphSet[k] = invert(graphLoss.unsettable);
-            oracles.treeObs[k] = invert(treeLoss.unobservable);
-            oracles.treeSet[k] = invert(treeLoss.unsettable);
-          }
-        });
+    // Expected rows: one certification over the same excluded
+    // primitives, so its universe is singles_ in the same order.  The
+    // certifier shares the arena lowered at engine construction — run()
+    // never re-flattens.
+    verify::CertifyOptions options;
+    options.excludePrimitives = config_.excludePrimitives;
+    options.fixpointBudget = std::numeric_limits<std::size_t>::max();
+    options.crossCheck = verify::crossCheckDefault();
+    const verify::CertificationResult cert =
+        verify::Certifier(flat_).run(options);
+    RRSN_CHECK(cert.universe == singles_,
+               "certifier universe differs from the campaign singles");
+    oracles.faultFree = {cert.reachable, cert.reachable};
+    parallelFor(m, [&](std::size_t k) {
+      const fault::Fault& f = singles_[k];
+      Expectation& e = oracles.expect[k];
+      e = {DynamicBitset(n), DynamicBitset(n)};
+      for (std::size_t i = 0; i < n; ++i) {
+        if (cert.read(k, i) == verify::Verdict::Proven) e.observable.set(i);
+        if (cert.write(k, i) == verify::Verdict::Proven) e.settable.set(i);
+      }
+      const fault::AccessibilityLoss graphLoss =
+          fault::lossUnderFaultGraph(*net_, gv, f);
+      const fault::AccessibilityLoss treeLoss =
+          fault::lossUnderFaultTree(tree, f);
+      const auto invert = [n](const DynamicBitset& lost) {
+        DynamicBitset kept(n);
+        kept.setAll();
+        lost.forEachSet([&](std::size_t i) { kept.reset(i); });
+        return kept;
+      };
+      oracles.graphObs[k] = invert(graphLoss.unobservable);
+      oracles.graphSet[k] = invert(graphLoss.unsettable);
+      oracles.treeObs[k] = invert(treeLoss.unobservable);
+      oracles.treeSet[k] = invert(treeLoss.unsettable);
+    });
   }
 
   // Cancellation: an external token, an engine-owned deadline, or both.

@@ -45,12 +45,13 @@
 //    sim-vs-structural differences are expected; they are itemized as
 //    *gaps*, never dropped.  For pairs the plain verdict is composed
 //    (AND) the same way as the expected one.
-//  * the *expected* verdict (expectedAccessibility below): structural
-//    reachability composed with a control-dependency closure.  In
-//    Single and Transient mode a disagreement with the simulation is a
-//    *mismatch* (an engine or analysis bug — campaigns must report
-//    zero); in Pairs mode disagreements are the interaction effects
-//    described above and live in their own counters.
+//  * the *expected* verdict (Expectation below, read from the
+//    verify::Certifier rows): structural reachability composed with a
+//    control-dependency closure.  In Single and Transient mode a
+//    disagreement with the simulation is a *mismatch* (an engine or
+//    analysis bug — campaigns must report zero); in Pairs mode
+//    disagreements are the interaction effects described above and
+//    live in their own counters.
 //
 // Campaigns fan out per scenario over the PR-1 thread pool and are
 // deterministic at any thread count: every scenario's record depends
@@ -80,11 +81,7 @@
 #include "support/table.hpp"
 
 namespace rrsn::rsn {
-struct GraphView;
 class FlatNetwork;
-}
-namespace rrsn::sp {
-class DecompositionTree;
 }
 namespace rrsn::diag {
 class BatchedSyndromeEngine;
@@ -144,22 +141,17 @@ std::string describe(const rsn::Network& net, const FaultScenario& s);
 /// break-tolerant access (reads tolerate the break on the scan-in side
 /// of the target, writes on the scan-out side) additionally needs every
 /// configuration round to finish before the break joins the path, or a
-/// suffix free of mux address registers past the break.  Implemented by
-/// diag::BatchedSyndromeEngine (the single oracle implementation); see
+/// suffix free of mux address registers past the break.  The campaign
+/// reads these rows from verify::Certifier (Proven = accessible); see
 /// diag/batched.hpp for the full mode derivation.
 struct Expectation {
   DynamicBitset observable;
   DynamicBitset settable;
 };
-Expectation expectedAccessibility(const rsn::Network& net,
-                                  const rsn::GraphView& gv,
-                                  const fault::Fault& f);
 
-/// Same oracle over a prebuilt engine — for callers that hold one for a
-/// whole sweep (the convenience overload above lowers the network and
-/// builds a fresh engine per call, which squares the flattening cost of
-/// a batch).  `instruments` sizes the result rows; `worker` selects the
-/// engine's scratch lane.
+/// The same expectation from the batched reference engine, for tests
+/// and benches that check certifier rows against it.  `instruments`
+/// sizes the result rows; `worker` selects the engine's scratch lane.
 Expectation expectedAccessibility(const diag::BatchedSyndromeEngine& engine,
                                   std::size_t instruments,
                                   const fault::Fault& f,
@@ -360,10 +352,9 @@ class CampaignEngine {
 
   const rsn::Network* net_;
   CampaignConfig config_;
-  /// Lowered once at construction and shared by every run(): pair and
-  /// transient campaigns build their oracle engines from this arena
-  /// instead of re-flattening per mode/stage (the obs counter
-  /// `flat.flatten_calls` proves the hoist).
+  /// Lowered once at construction and shared by every run(): each
+  /// run's certifier reads this arena instead of re-flattening per
+  /// mode/stage (the obs counter `flat.flatten_calls` proves the hoist).
   std::shared_ptr<const rsn::FlatNetwork> flat_;
   std::vector<fault::Fault> singles_;
   std::vector<FaultScenario> universe_;

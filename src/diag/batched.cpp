@@ -1,12 +1,8 @@
 #include "diag/batched.hpp"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <utility>
 
-#include "diag/diagnosis.hpp"
+#include "support/error.hpp"
 #include "support/parallel.hpp"
 
 namespace rrsn::diag {
@@ -22,38 +18,25 @@ constexpr std::size_t kBeta = 18;
 
 }  // namespace
 
-const char* dictModeName(DictMode mode) {
-  switch (mode) {
-    case DictMode::Probe:
-      return "probe";
-    case DictMode::Batched:
-      return "batched";
-    case DictMode::Verify:
-      return "verify";
-  }
-  return "?";
+std::size_t Syndrome::distanceTo(const Syndrome& other) const {
+  RRSN_CHECK(passed.size() == other.passed.size(),
+             "syndromes of different access sets are not comparable");
+  DynamicBitset diff = passed;
+  diff ^= other.passed;
+  return diff.count();
 }
 
-DictMode dictModeFromEnv() {
-#ifdef NDEBUG
-  constexpr DictMode kDefault = DictMode::Batched;
-#else
-  constexpr DictMode kDefault = DictMode::Verify;
-#endif
-  const char* text = std::getenv("RRSN_DICT_MODE");
-  if (text == nullptr || *text == '\0') return kDefault;
-  const std::string v(text);
-  if (v == "probe") return DictMode::Probe;
-  if (v == "batched") return DictMode::Batched;
-  if (v == "verify") return DictMode::Verify;
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    std::fprintf(stderr,
-                 "rrsn: RRSN_DICT_MODE='%s' is not probe|batched|verify; "
-                 "using '%s'\n",
-                 text, dictModeName(kDefault));
+std::size_t Syndrome::distanceToAtMost(const Syndrome& other,
+                                       std::size_t bound) const {
+  RRSN_CHECK(passed.size() == other.passed.size(),
+             "syndromes of different access sets are not comparable");
+  std::size_t acc = 0;
+  for (std::size_t w = 0; w < passed.wordCount(); ++w) {
+    acc += static_cast<std::size_t>(
+        __builtin_popcountll(passed.word(w) ^ other.passed.word(w)));
+    if (acc > bound) return acc;
   }
-  return kDefault;
+  return acc;
 }
 
 BatchedSyndromeEngine::BatchedSyndromeEngine(const rsn::Network& net)

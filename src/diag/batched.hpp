@@ -1,14 +1,16 @@
-// Batched fault-dictionary rows via frontier traversal.
+// Batched syndrome rows via frontier traversal: the reference engine.
 //
-// The per-probe dictionary build retargets 2·N accesses per fault on a
-// fresh simulator — O(|faults| · |instruments|) full path searches that
-// mostly recompute the same reachability.  This engine lowers the
-// network once into a flat control view (sim::ControlView) and derives
-// a fault's *entire* syndrome row from a handful of whole-graph
-// reachability sweeps: forward from scan-in and backward from scan-out,
-// under the fault's selectable-branch sets, with an optional shrinking
-// fixpoint that drops mux branches whose address register is itself
-// unreachable under the fault.
+// This engine lowers the network once into a flat control view
+// (sim::ControlView) and derives a fault's *entire* syndrome row from a
+// handful of whole-graph reachability sweeps: forward from scan-in and
+// backward from scan-out, under the fault's selectable-branch sets,
+// with an optional shrinking fixpoint that drops mux branches whose
+// address register is itself unreachable under the fault.  The fault
+// dictionary and the campaign oracle read verify::Certifier rows,
+// which implement the same semantics independently; this engine is
+// their differential reference: the certifier's checked mode
+// (RRSN_CERTIFY_MODE=checked) replays rows through it, and tests and
+// benches compare the two engines.
 //
 // Each sweep is a direction-optimizing BFS in the PaperWasp style: a
 // sliding work queue expands the frontier top-down while it is narrow
@@ -28,10 +30,9 @@
 // register), and clean-suffix tolerance (no mux address register lies
 // downstream of the break on the path, so the poison that every
 // exposed CSU smears over the downstream cells is never consulted).
-// campaign::expectedAccessibility delegates here, and campaign_test
-// validates the shared oracle against the simulator on the example
-// networks; RRSN_DICT_MODE=verify additionally cross-checks every row
-// against the per-probe path at runtime.
+// diag_test checks these semantics, as certifier rows, against the
+// simulator on the example and generated networks; verify_test and
+// property_test check this engine against the certifier cell by cell.
 #pragma once
 
 #include <cstdint>
@@ -46,29 +47,30 @@
 
 namespace rrsn::diag {
 
-struct Syndrome;
+/// Pass/fail outcome of the standard test-access set: bit 2i is the
+/// read of instrument i, bit 2i+1 the write.
+struct Syndrome {
+  DynamicBitset passed;
 
-/// How FaultDictionary::build computes syndromes.
-enum class DictMode : std::uint8_t {
-  Probe,    ///< per-access simulator retargeting (the reference path)
-  Batched,  ///< frontier sweeps over the control view
-  Verify,   ///< both, cross-checked row-for-row (raises on mismatch)
+  bool operator==(const Syndrome&) const = default;
+
+  /// Number of differing outcomes.
+  std::size_t distanceTo(const Syndrome& other) const;
+
+  /// Hamming distance with an early exit: returns the exact distance
+  /// when it is <= bound, otherwise some value > bound (the partial
+  /// count at the word where the bound was exceeded).
+  std::size_t distanceToAtMost(const Syndrome& other,
+                               std::size_t bound) const;
 };
-
-/// RRSN_DICT_MODE=probe|batched|verify; unset (or unrecognized, with a
-/// one-time warning) defaults to verify in debug builds and batched in
-/// release builds.
-DictMode dictModeFromEnv();
-
-const char* dictModeName(DictMode mode);
 
 /// Shared-read engine: one instance per build, row() callable
 /// concurrently as long as every caller passes a distinct worker lane.
 class BatchedSyndromeEngine {
  public:
   /// Lowers `net` into a fresh flat view first.  Callers that already
-  /// hold one (campaigns, services) should pass it instead so the
-  /// network is flattened once, not per engine.
+  /// hold one should pass it instead so the network is flattened once,
+  /// not per engine.
   explicit BatchedSyndromeEngine(const rsn::Network& net);
 
   /// Shares an existing arena: no lowering, just the scratch lanes.

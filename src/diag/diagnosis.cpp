@@ -1,6 +1,7 @@
 #include "diag/diagnosis.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <tuple>
 
@@ -8,29 +9,9 @@
 #include "sim/retarget.hpp"
 #include "support/hash.hpp"
 #include "support/parallel.hpp"
+#include "verify/certifier.hpp"
 
 namespace rrsn::diag {
-
-std::size_t Syndrome::distanceTo(const Syndrome& other) const {
-  RRSN_CHECK(passed.size() == other.passed.size(),
-             "syndromes of different access sets are not comparable");
-  DynamicBitset diff = passed;
-  diff ^= other.passed;
-  return diff.count();
-}
-
-std::size_t Syndrome::distanceToAtMost(const Syndrome& other,
-                                       std::size_t bound) const {
-  RRSN_CHECK(passed.size() == other.passed.size(),
-             "syndromes of different access sets are not comparable");
-  std::size_t acc = 0;
-  for (std::size_t w = 0; w < passed.wordCount(); ++w) {
-    acc += static_cast<std::size_t>(
-        __builtin_popcountll(passed.word(w) ^ other.passed.word(w)));
-    if (acc > bound) return acc;
-  }
-  return acc;
-}
 
 Syndrome FaultDictionary::measure(const rsn::Network& net,
                                   const fault::Fault* f) {
@@ -89,81 +70,36 @@ Syndrome composeSyndromes(const Syndrome& a, const Syndrome& b) {
   return out;
 }
 
-namespace {
-
-std::string bitsToString(const DynamicBitset& b) {
-  std::string s(b.size(), '0');
-  b.forEachSet([&](std::size_t i) { s[i] = '1'; });
-  return s;
-}
-
-}  // namespace
-
 FaultDictionary FaultDictionary::build(const rsn::Network& net) {
-  return build(net, dictModeFromEnv());
-}
-
-FaultDictionary FaultDictionary::build(const rsn::Network& net,
-                                       DictMode mode) {
   RRSN_OBS_SPAN("diag.dictionary_build");
   static const obs::MetricId kSyndromes = obs::counter("diag.syndromes");
-  static const obs::MetricId kVerified = obs::counter("diag.rows_verified");
+  verify::CertifyOptions options;
+  options.fixpointBudget = std::numeric_limits<std::size_t>::max();
+  options.crossCheck = verify::crossCheckDefault();
+  const verify::CertificationResult cert = verify::Certifier(net).run(options);
+
+  // The certifier's canonical fault order is the FaultUniverse order.
+  // Fault-free, an instrument passes both accesses iff it is reachable.
   FaultDictionary dict;
   dict.net_ = &net;
-  dict.mode_ = mode;
-  const fault::FaultUniverse universe(net);
-  dict.faults_ = universe.faults();
-  const std::size_t n = dict.faults_.size();
-
-  if (mode != DictMode::Batched) {
-    // Per-probe reference path: each fault's syndrome is measured on a
-    // private simulator over the immutable network, so the build fans
-    // out over the fault universe; syndrome k lands in slot k
-    // regardless of scheduling.
-    dict.faultFree_ = measure(net, nullptr);
-    dict.syndromes_ = parallelMap<Syndrome>(
-        n, [&](std::size_t k) { return measure(net, &dict.faults_[k]); });
-  }
-  if (mode != DictMode::Probe) {
-    // Batched path: one engine shared read-only, per-worker scratch
-    // selected by the parallelForChunks lane, slot-k placement.
-    const BatchedSyndromeEngine engine(net);
-    Syndrome batchedFree = engine.row(nullptr, 0);
-    std::vector<Syndrome> batched(n);
-    parallelForChunks(
-        n, [&](std::size_t begin, std::size_t end, std::size_t worker) {
-          for (std::size_t k = begin; k < end; ++k)
-            batched[k] = engine.row(&dict.faults_[k], worker);
-        });
-    if (mode == DictMode::Verify) {
-      std::size_t mismatches = 0;
-      std::string first;
-      const auto check = [&](const Syndrome& probe, const Syndrome& fast,
-                             const fault::Fault* f) {
-        if (probe == fast) return;
-        if (mismatches == 0) {
-          first = (f != nullptr ? fault::describe(net, *f)
-                                : std::string("fault-free")) +
-                  " probe=" + bitsToString(probe.passed) +
-                  " batched=" + bitsToString(fast.passed);
+  dict.faults_ = cert.universe;
+  const std::size_t n = cert.instruments;
+  dict.faultFree_.passed = DynamicBitset(2 * n);
+  cert.reachable.forEachSet([&](std::size_t i) {
+    dict.faultFree_.passed.set(2 * i);
+    dict.faultFree_.passed.set(2 * i + 1);
+  });
+  dict.syndromes_ =
+      parallelMap<Syndrome>(dict.faults_.size(), [&](std::size_t k) {
+        Syndrome row{DynamicBitset(2 * n)};
+        for (std::size_t i = 0; i < n; ++i) {
+          if (cert.read(k, i) == verify::Verdict::Proven)
+            row.passed.set(2 * i);
+          if (cert.write(k, i) == verify::Verdict::Proven)
+            row.passed.set(2 * i + 1);
         }
-        ++mismatches;
-      };
-      check(dict.faultFree_, batchedFree, nullptr);
-      for (std::size_t k = 0; k < n; ++k)
-        check(dict.syndromes_[k], batched[k], &dict.faults_[k]);
-      if (mismatches != 0) {
-        obs::raiseIfError(Status::internal(
-            "dictionary verify: " + std::to_string(mismatches) + " of " +
-            std::to_string(n + 1) + " rows differ between the probe and " +
-            "batched engines; first: " + first));
-      }
-      obs::count(kVerified, n + 1);
-    } else {
-      dict.faultFree_ = std::move(batchedFree);
-      dict.syndromes_ = std::move(batched);
-    }
-  }
+        return row;
+      });
   obs::count(kSyndromes, dict.syndromes_.size());
   dict.buildIndex();
   return dict;
@@ -299,20 +235,18 @@ FaultDictionary::PairDiagnosis FaultDictionary::diagnosePair(
                               rhs.second.prim, rhs.second.stuckBranch);
             });
 
-  // Verify mode: composition is only a bound, so cross-check the first
-  // candidates end to end on the simulator.  A candidate that
-  // re-measures differently is a pair whose interaction (masking)
-  // escapes the row-union model — the campaign layer itemizes those.
-  if (mode_ == DictMode::Verify) {
-    const std::size_t limit =
-        std::min(d.exactPairs.size(), PairDiagnosis::kMaxVerifiedPairs);
-    for (std::size_t p = 0; p < limit; ++p) {
-      const Syndrome measured = measureMulti(
-          *net_, {d.exactPairs[p].first, d.exactPairs[p].second});
-      if (measured == observed) {
-        d.verifiedBySimulation = true;
-        break;
-      }
+  // Composition is only a bound, so cross-check the first candidates
+  // end to end on the simulator.  A candidate that re-measures
+  // differently is a pair whose interaction (masking) escapes the
+  // row-union model — the campaign layer itemizes those.
+  const std::size_t limit =
+      std::min(d.exactPairs.size(), PairDiagnosis::kMaxVerifiedPairs);
+  for (std::size_t p = 0; p < limit; ++p) {
+    const Syndrome measured = measureMulti(
+        *net_, {d.exactPairs[p].first, d.exactPairs[p].second});
+    if (measured == observed) {
+      d.verifiedBySimulation = true;
+      break;
     }
   }
   return d;

@@ -9,13 +9,11 @@
 // network's *syndrome*.  Comparing an observed syndrome against the
 // precomputed dictionary yields the candidate fault set.
 //
-// Two build engines produce the same rows (selected by RRSN_DICT_MODE,
-// see diag/batched.hpp): the per-probe reference path simulates every
-// access on a fresh simulator, while the batched path derives each
-// fault's whole row from a few frontier-based reachability sweeps over
-// a flat control view — the difference is 2·|faults|·|instruments| path
-// searches versus O(|faults|) sweeps.  `verify` runs both and raises on
-// any row difference.
+// The dictionary reads its rows from verify::Certifier (a read or
+// write verdict of Proven is a passing access), so diagnoses,
+// certificates and the campaign oracle come from one accessibility
+// engine.  FaultDictionary::measure is the per-probe simulator
+// reference those rows are tested against.
 //
 // The dictionary doubles as an analysis tool: its equivalence-class
 // structure tells how *diagnosable* a network is (how many faults are
@@ -37,30 +35,13 @@
 
 namespace rrsn::diag {
 
-/// Pass/fail outcome of the standard test-access set: bit 2i is the
-/// read of instrument i, bit 2i+1 the write.
-struct Syndrome {
-  DynamicBitset passed;
-
-  bool operator==(const Syndrome&) const = default;
-
-  /// Number of differing outcomes.
-  std::size_t distanceTo(const Syndrome& other) const;
-
-  /// Hamming distance with an early exit: returns the exact distance
-  /// when it is <= bound, otherwise some value > bound (the partial
-  /// count at the word where the bound was exceeded).
-  std::size_t distanceToAtMost(const Syndrome& other,
-                               std::size_t bound) const;
-};
-
 /// Row-union composition of two single-fault syndromes: an access can
 /// only pass under the simultaneous pair if it passes under both faults
 /// individually, so the composed *failure* set is the union of the two
 /// rows' failures (passed = AND).  Composition is a structural bound,
 /// not ground truth — real pair physics can mask one fault behind the
 /// other — which is exactly why diagnosePair cross-checks candidates on
-/// the simulator in verify mode.
+/// the simulator.
 Syndrome composeSyndromes(const Syndrome& a, const Syndrome& b);
 
 /// Result of diagnosing one observed syndrome.
@@ -80,25 +61,23 @@ struct Diagnosis {
 /// Precomputed syndrome dictionary over the single-fault universe.
 class FaultDictionary {
  public:
-  /// Builds the dictionary in the mode selected by RRSN_DICT_MODE
-  /// (default: batched in release builds, verify in debug builds).
-  /// Both engines fan the fault universe out over the process thread
-  /// pool (RRSN_THREADS / RRSN_GRAIN) with slot-per-fault placement;
-  /// the dictionary is byte-identical for any thread count.
+  /// Builds the dictionary from one certification of the full
+  /// single-fault universe, with an unbounded fixpoint budget so no
+  /// row is Unknown.  RRSN_CERTIFY_MODE=checked replays the rows
+  /// through the batched reference engine as the certifier runs.  The
+  /// certifier fans the universe out over the process thread pool
+  /// (RRSN_THREADS / RRSN_GRAIN) with slot-per-fault placement, so the
+  /// dictionary is byte-identical for any thread count.
   static FaultDictionary build(const rsn::Network& net);
-
-  /// Builds with an explicit engine mode.
-  static FaultDictionary build(const rsn::Network& net, DictMode mode);
 
   const rsn::Network& network() const { return *net_; }
   const Syndrome& faultFreeSyndrome() const { return faultFree_; }
   const std::vector<fault::Fault>& faults() const { return faults_; }
   const Syndrome& syndromeOf(std::size_t faultIndex) const;
-  DictMode mode() const { return mode_; }
 
   /// Measures the syndrome of a (possibly fault-injected) network by
   /// running the standard access set on a fresh simulator (the
-  /// per-probe reference path, independent of the build mode).
+  /// per-probe reference the built rows are tested against).
   static Syndrome measure(const rsn::Network& net, const fault::Fault* f);
 
   /// Same, with any number of simultaneous permanent faults injected —
@@ -127,9 +106,9 @@ class FaultDictionary {
     std::vector<std::pair<fault::Fault, fault::Fault>> exactPairs;
     /// Total number of composition-matching pairs (the ambiguity).
     std::size_t exactPairCount = 0;
-    /// Verify-mode only: true when at least one listed candidate pair
-    /// re-measured on the simulator (measureMulti) reproduces the
-    /// observation exactly.  False in other modes, and false when every
+    /// True when at least one of the first kMaxVerifiedPairs listed
+    /// candidates, re-measured on the simulator (measureMulti),
+    /// reproduces the observation exactly.  False when every
     /// re-measured candidate diverges — the signature of a pair whose
     /// physics the composition bound cannot express.
     bool verifiedBySimulation = false;
@@ -138,9 +117,9 @@ class FaultDictionary {
     static constexpr std::size_t kMaxVerifiedPairs = 8;
   };
 
-  /// Diagnoses `observed` as a simultaneous fault pair.  In Verify mode
-  /// the first kMaxVerifiedPairs candidates are cross-checked against
-  /// the per-probe simulator (see PairDiagnosis::verifiedBySimulation).
+  /// Diagnoses `observed` as a simultaneous fault pair.  The first
+  /// kMaxVerifiedPairs candidates are cross-checked against the
+  /// per-probe simulator (see PairDiagnosis::verifiedBySimulation).
   PairDiagnosis diagnosePair(const Syndrome& observed) const;
 
   /// Diagnosability statistics.
@@ -168,7 +147,6 @@ class FaultDictionary {
   void buildIndex();
 
   const rsn::Network* net_ = nullptr;
-  DictMode mode_ = DictMode::Probe;
   std::vector<fault::Fault> faults_;
   std::vector<Syndrome> syndromes_;
   Syndrome faultFree_;

@@ -577,6 +577,7 @@ json::Value Server::statsJson() const {
   json::Object cache;
   cache["hits"] = json::Value(c.hits);
   cache["misses"] = json::Value(c.misses);
+  cache["coalesced"] = json::Value(c.coalesced);
   cache["evictions"] = json::Value(c.evictions);
   cache["collisions"] = json::Value(c.collisions);
   cache["bytes"] = json::Value(std::uint64_t(c.bytes));

@@ -9,7 +9,6 @@
 #include <string>
 #include <utility>
 
-#include "campaign/campaign.hpp"
 #include "diag/batched.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
@@ -817,13 +816,13 @@ CertificationResult Certifier::run(const CertifyOptions& options) const {
           if (!hasVulnerable && fi % options.crossCheckSampleEvery != 0)
             continue;
           checkedRows.fetch_add(1, std::memory_order_relaxed);
-          const campaign::Expectation expect =
-              campaign::expectedAccessibility(*oracle, instruments, f, worker);
+          const diag::Syndrome expect = oracle->row(&f, worker);
           for (std::size_t i = 0; i < instruments; ++i) {
             const bool provenRead = (row[i] & 3u) == 0u;
             const bool provenWrite = ((row[i] >> 2) & 3u) == 0u;
-            if (provenRead == expect.observable.test(i) &&
-                provenWrite == expect.settable.test(i))
+            const bool oracleRead = expect.passed.test(2 * i);
+            const bool oracleWrite = expect.passed.test(2 * i + 1);
+            if (provenRead == oracleRead && provenWrite == oracleWrite)
               continue;
             std::string msg =
                 "fault #" + std::to_string(fi) + " instrument #" +
@@ -831,8 +830,8 @@ CertificationResult Certifier::run(const CertifyOptions& options) const {
                 std::string(1, toChar(static_cast<Verdict>(row[i] & 3u))) +
                 std::string(
                     1, toChar(static_cast<Verdict>((row[i] >> 2) & 3u))) +
-                " vs oracle " + (expect.observable.test(i) ? "A" : "L") +
-                (expect.settable.test(i) ? "A" : "L");
+                " vs oracle " + (oracleRead ? "A" : "L") +
+                (oracleWrite ? "A" : "L");
             const std::lock_guard<std::mutex> lock(divergenceMu);
             divergences.push_back(std::move(msg));
           }

@@ -39,9 +39,14 @@
 // oracle (strict / clean-suffix / depth-bounded; see diag/batched.cpp)
 // with an independent plain-BFS sweep and a budgeted control fixpoint —
 // so certifier verdicts are definitionally comparable to
-// campaign::expectedAccessibility, and the cross-check mode replays
-// Vulnerable rows and sampled Proven rows through the oracle engine,
+// diag::BatchedSyndromeEngine rows, and the cross-check mode replays
+// Vulnerable rows and sampled Proven rows through that engine,
 // treating any divergence as a hard error.
+//
+// The certifier is the production accessibility engine: the fault
+// dictionary (diag::FaultDictionary) and the campaign oracle
+// (campaign::CampaignEngine) read its rows, with Proven meaning the
+// access passes.
 //
 // Determinism: every cell depends only on its fault index; the per-
 // fault fan-out uses the deterministic chunk grid, so results (and all
@@ -125,7 +130,9 @@ struct CertifyOptions {
 };
 
 /// RRSN_CERTIFY_MODE=fast|checked; unset defaults to checked in debug
-/// builds and fast in release builds (the dictionary-verify pattern).
+/// builds and fast in release builds.  The one cross-check knob: it
+/// also covers the certifier runs behind fault dictionary builds and
+/// campaign oracles.
 bool crossCheckDefault();
 
 /// Aggregate counters over one certification.

@@ -144,55 +144,40 @@ TEST_P(DiagnosisSweep, CandidatesContainInjectedFault) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DiagnosisSweep,
                          ::testing::Range<std::uint64_t>(1, 9));
 
-// ---- Batched-engine equivalence -------------------------------------
-// The frontier-sweep engine must reproduce the per-probe reference
-// byte-for-byte: same fault order, same fault-free syndrome, same row
-// for every fault (the universe covers every SegmentBreak and every
-// MuxStuck branch, so row equality exercises all fault kinds).
+// ---- Dictionary versus simulator ------------------------------------
+// The dictionary reads certifier rows; each must reproduce the per-probe
+// simulator measurement byte-for-byte: same fault order as the
+// FaultUniverse, same fault-free syndrome, same row for every fault (the
+// universe covers every SegmentBreak and every MuxStuck branch, so row
+// equality exercises all fault kinds).
 
-void expectDictionariesEqual(const rsn::Network& net,
-                             const FaultDictionary& probe,
-                             const FaultDictionary& batched) {
-  ASSERT_EQ(probe.faults().size(), batched.faults().size());
-  EXPECT_EQ(probe.faultFreeSyndrome(), batched.faultFreeSyndrome());
-  for (std::size_t k = 0; k < probe.faults().size(); ++k) {
-    ASSERT_TRUE(probe.faults()[k] == batched.faults()[k]);
-    EXPECT_EQ(probe.syndromeOf(k), batched.syndromeOf(k))
-        << fault::describe(net, probe.faults()[k]);
+void expectRowsMatchSimulator(const rsn::Network& net) {
+  const FaultDictionary dict = FaultDictionary::build(net);
+  ASSERT_EQ(dict.faults(), fault::FaultUniverse(net).faults());
+  EXPECT_EQ(dict.faultFreeSyndrome(), FaultDictionary::measure(net, nullptr));
+  for (std::size_t k = 0; k < dict.faults().size(); ++k) {
+    EXPECT_EQ(dict.syndromeOf(k),
+              FaultDictionary::measure(net, &dict.faults()[k]))
+        << fault::describe(net, dict.faults()[k]);
   }
 }
 
-void expectEnginesAgree(const rsn::Network& net) {
-  expectDictionariesEqual(net, FaultDictionary::build(net, DictMode::Probe),
-                          FaultDictionary::build(net, DictMode::Batched));
+TEST(DictionaryVsSimulator, ExampleNetworks) {
+  expectRowsMatchSimulator(makeFig1Network());
+  expectRowsMatchSimulator(rsn::makeTinyNetwork());
 }
 
-TEST(EngineEquivalence, ExampleNetworks) {
-  expectEnginesAgree(makeFig1Network());
-  expectEnginesAgree(rsn::makeTinyNetwork());
-}
-
-TEST(EngineEquivalence, VerifyModeAcceptsEveryRow) {
-  // Verify runs both engines and raises on any differing row, so merely
-  // completing the build proves zero row mismatches on this network.
-  const rsn::Network net = makeFig1Network();
-  const FaultDictionary dict = FaultDictionary::build(net, DictMode::Verify);
-  EXPECT_EQ(dict.mode(), DictMode::Verify);
-  EXPECT_FALSE(dict.faults().empty());
-}
-
-class EngineEquivalenceSweep
+class DictionaryVsSimulatorSweep
     : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(EngineEquivalenceSweep, RandomNetworks) {
+TEST_P(DictionaryVsSimulatorSweep, RandomNetworks) {
   Rng rng(GetParam() * 31 + 5);
   test::RandomNetOptions opt;
   opt.targetSegments = 18;
-  const rsn::Network net = test::randomNetwork(rng, opt);
-  expectEnginesAgree(net);
+  expectRowsMatchSimulator(test::randomNetwork(rng, opt));
 }
 
-TEST_P(EngineEquivalenceSweep, HardenedVariants) {
+TEST_P(DictionaryVsSimulatorSweep, HardenedVariants) {
   // The fault-tolerant augmentation adds TAP-controlled skip muxes, so
   // its break rows exercise the tolerant access modes heavily (most
   // breaks become routable-around instead of fatal).
@@ -200,51 +185,29 @@ TEST_P(EngineEquivalenceSweep, HardenedVariants) {
   test::RandomNetOptions opt;
   opt.targetSegments = 12;
   const rsn::Network net = test::randomNetwork(rng, opt);
-  expectEnginesAgree(harden::augmentFaultTolerant(net).network);
+  expectRowsMatchSimulator(harden::augmentFaultTolerant(net).network);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, EngineEquivalenceSweep,
+INSTANTIATE_TEST_SUITE_P(Seeds, DictionaryVsSimulatorSweep,
                          ::testing::Range<std::uint64_t>(1, 7));
 
-TEST(EngineEquivalence, DeterministicAcrossThreadCounts) {
+TEST(DictionaryVsSimulator, RowsIdenticalAcrossThreadCounts) {
   Rng rng(424242);
   test::RandomNetOptions opt;
   opt.targetSegments = 30;
   const rsn::Network net = test::randomNetwork(rng, opt);
   const std::size_t restore = threadCount();
-  const FaultDictionary ref = FaultDictionary::build(net, DictMode::Batched);
-  for (const std::size_t threads : {1u, 2u, 4u}) {
+  setThreadCount(1);
+  const FaultDictionary ref = FaultDictionary::build(net);
+  for (const std::size_t threads : {2u, 4u}) {
     setThreadCount(threads);
-    expectDictionariesEqual(net, ref,
-                            FaultDictionary::build(net, DictMode::Batched));
+    const FaultDictionary dict = FaultDictionary::build(net);
+    ASSERT_EQ(dict.faults(), ref.faults());
+    EXPECT_EQ(dict.faultFreeSyndrome(), ref.faultFreeSyndrome());
+    for (std::size_t k = 0; k < ref.faults().size(); ++k)
+      EXPECT_EQ(dict.syndromeOf(k), ref.syndromeOf(k)) << threads;
   }
   setThreadCount(restore);
-}
-
-TEST(EngineEquivalence, DiagnosisAndResolutionModeInvariant) {
-  // Downstream consumers (diagnose lookups, resolution statistics) must
-  // not be able to tell which engine built the dictionary.
-  Rng rng(99);
-  test::RandomNetOptions opt;
-  opt.targetSegments = 16;
-  const rsn::Network net = test::randomNetwork(rng, opt);
-  const FaultDictionary probe = FaultDictionary::build(net, DictMode::Probe);
-  const FaultDictionary batched =
-      FaultDictionary::build(net, DictMode::Batched);
-  const auto rp = probe.resolution();
-  const auto rb = batched.resolution();
-  EXPECT_EQ(rp.faults, rb.faults);
-  EXPECT_EQ(rp.detectable, rb.detectable);
-  EXPECT_EQ(rp.classes, rb.classes);
-  EXPECT_EQ(rp.avgAmbiguity, rb.avgAmbiguity);
-  for (std::size_t k = 0; k < probe.faults().size(); ++k) {
-    const Diagnosis dp = probe.diagnose(probe.syndromeOf(k));
-    const Diagnosis db = batched.diagnose(batched.syndromeOf(k));
-    EXPECT_EQ(dp.faultFree, db.faultFree);
-    ASSERT_EQ(dp.exactMatches.size(), db.exactMatches.size());
-    for (std::size_t i = 0; i < dp.exactMatches.size(); ++i)
-      EXPECT_TRUE(dp.exactMatches[i] == db.exactMatches[i]);
-  }
 }
 
 // -------------------------------------------------- pair diagnosis
@@ -327,9 +290,9 @@ TEST(PairDiagnosis, FaultFreeSyndromeShortCircuits) {
   EXPECT_EQ(d.exactPairCount, 0u);
 }
 
-TEST(PairDiagnosis, VerifyModeCrossChecksCandidatesOnTheSimulator) {
+TEST(PairDiagnosis, CandidatesAreReMeasuredOnTheSimulator) {
   const rsn::Network net = makeFig1Network();
-  const FaultDictionary dict = FaultDictionary::build(net, DictMode::Verify);
+  const FaultDictionary dict = FaultDictionary::build(net);
   // Two breaks on distinct instrument segments compose without
   // interaction: their pair must come back simulation-verified.
   const Fault a = Fault::segmentBreak(net.findSegment("seg_i2"));
@@ -339,10 +302,6 @@ TEST(PairDiagnosis, VerifyModeCrossChecksCandidatesOnTheSimulator) {
   ASSERT_FALSE(d.faultFree);
   ASSERT_FALSE(d.exactPairs.empty());
   EXPECT_TRUE(d.verifiedBySimulation);
-  // The non-verify build path never claims simulation backing.
-  const FaultDictionary batched =
-      FaultDictionary::build(net, DictMode::Batched);
-  EXPECT_FALSE(batched.diagnosePair(observed).verifiedBySimulation);
 }
 
 }  // namespace

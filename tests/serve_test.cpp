@@ -509,6 +509,36 @@ TEST(Server, ConcurrentClientsThreadCountInvariance) {
       << "responses must be byte-identical at RRSN_THREADS=1 vs 4";
 }
 
+TEST(Server, StatsReplyCountsCoalescedMisses) {
+  // Concurrent first requests for one design: every cache lookup counts
+  // once, as a hit, a miss or a coalesced wait on the in-flight compute,
+  // so the stats reply must carry all three for the tally to add up.
+  Server server;
+  const std::string text =
+      rsn::netlistToString(benchgen::buildBenchmark("q12710"));
+  constexpr std::uint64_t kClients = 4;
+  std::vector<std::unique_ptr<StreamClient>> clients;
+  for (std::size_t c = 0; c < kClients; ++c)
+    clients.push_back(std::make_unique<StreamClient>(server));
+  std::vector<std::thread> drivers;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    drivers.emplace_back([&, c] {
+      const json::Value resp = clients[c]->call("diagnose", netlistParams(text));
+      EXPECT_TRUE(resp.at("ok").asBool()) << json::serialize(resp);
+    });
+  }
+  for (auto& d : drivers) d.join();
+  const json::Value cache =
+      clients[0]->call("stats").at("result").at("cache");
+  // Each diagnose looks up the interned network and its dictionary
+  // resolution, and each of the two keys misses exactly once.
+  const std::uint64_t misses = cache.at("misses").asUnsigned();
+  EXPECT_EQ(misses, 2u);
+  EXPECT_EQ(cache.at("hits").asUnsigned() + misses +
+                cache.at("coalesced").asUnsigned(),
+            2 * kClients);
+}
+
 // -------------------------------------------------- FlatStore (mmap)
 
 TEST(FlatStore, PublishesThenMapsAcrossServerInstances) {

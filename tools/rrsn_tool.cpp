@@ -10,15 +10,11 @@
 //                                                patterns (optionally under a
 //                                                fault: break:<seg> or
 //                                                stuck:<mux>:<branch>)
-//   rrsn_tool diagnose <netlist> --fault F       build the fault dictionary and
-//                                                diagnose the injected fault.
-//                                                --dict-mode probe|batched|
-//                                                verify selects the build
-//                                                engine (verify cross-checks
-//                                                the batched rows against the
-//                                                per-probe reference); default
-//                                                is RRSN_DICT_MODE / the
-//                                                build-type default
+//   rrsn_tool diagnose <netlist> --fault F       build the fault dictionary
+//                                                from certifier rows and
+//                                                diagnose the injected fault
+//                                                (RRSN_CERTIFY_MODE=checked
+//                                                cross-checks the rows)
 //   rrsn_tool campaign <netlist> [options]       fault-injection campaign:
 //                                                simulate every (scenario,
 //                                                instrument) access, classify
@@ -106,7 +102,6 @@ struct Options {
   std::vector<std::string> positional;
   std::optional<std::string> specFile;
   std::optional<std::string> faultText;
-  std::optional<std::string> dictMode;
   std::optional<std::string> planOut;
   // lint options
   std::optional<std::string> planIn;
@@ -145,7 +140,7 @@ const char* usageText() {
       "[--checkpoint file] "
       "[--batch N] [--csv file] [--json file] [--max-reroutes N] "
       "[--no-reroute] [--trace file] [--metrics file] [--plan file] "
-      "[--sarif file] [--no-lint] [--dict-mode probe|batched|verify]\n";
+      "[--sarif file] [--no-lint]\n";
 }
 
 [[noreturn]] void usage() {
@@ -180,7 +175,6 @@ Options parseArgs(int argc, char** argv) {
     else if (arg == "--sarif") opt.sarifOut = value();
     else if (arg == "--no-lint") opt.noLint = true;
     else if (arg == "--fault") opt.faultText = value();
-    else if (arg == "--dict-mode") opt.dictMode = value();
     // All numeric options go through the strict bounded parser: the
     // whole string must be digits and the value must be in range, or a
     // UsageError surfaces the message next to the usage text (exit 1).
@@ -382,27 +376,14 @@ int cmdAccess(const Options& opt) {
   return res.success ? 0 : 1;
 }
 
-diag::DictMode parseDictMode(const std::string& text) {
-  if (text == "probe") return diag::DictMode::Probe;
-  if (text == "batched") return diag::DictMode::Batched;
-  if (text == "verify") return diag::DictMode::Verify;
-  throw Error("unknown --dict-mode '" + text +
-              "' (expected probe, batched or verify)");
-}
-
 int cmdDiagnose(const Options& opt) {
   const rsn::Network net = loadNetwork(opt.positional[0]);
   RRSN_CHECK(opt.faultText.has_value(), "diagnose requires --fault");
   const fault::Fault f = parseFault(net, *opt.faultText);
-  const auto dict = opt.dictMode
-                        ? diag::FaultDictionary::build(
-                              net, parseDictMode(*opt.dictMode))
-                        : diag::FaultDictionary::build(net);
+  const auto dict = diag::FaultDictionary::build(net);
   const auto observed = diag::FaultDictionary::measure(net, &f);
   const auto d = dict.diagnose(observed);
-  std::cout << "injected: " << fault::describe(net, f) << '\n'
-            << "dictionary engine: " << diag::dictModeName(dict.mode())
-            << '\n';
+  std::cout << "injected: " << fault::describe(net, f) << '\n';
   if (d.faultFree) {
     std::cout << "syndrome is fault-free: the defect is undetectable by "
                  "instrument accesses\n";
