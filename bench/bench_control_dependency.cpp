@@ -31,12 +31,13 @@ int main() {
                                  : benchgen::buildBenchmark(name);
     const fault::FaultUniverse universe(net);
     const std::size_t n = net.instruments().size();
+    const auto flat = rsn::FlatNetwork::lower(net);
 
     std::size_t obsClaims = 0, obsConfirmed = 0;
     std::size_t setClaims = 0, setConfirmed = 0;
     for (const fault::Fault& f : universe.faults()) {
       const sim::AccessReport structural =
-          sim::structuralAccessibility(net, &f);
+          sim::structuralAccessibility(*flat, &f);
       const sim::AccessReport strict = sim::strictAccessibility(net, &f);
       for (rsn::InstrumentId i = 0; i < n; ++i) {
         if (structural.observable.test(i)) {

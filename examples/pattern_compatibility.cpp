@@ -31,6 +31,7 @@ int main() {
 
   std::size_t totalPatterns = 0;
   std::size_t okReplays = 0;
+  const auto flat = rsn::FlatNetwork::lower(original);
   for (rsn::InstrumentId i = 0; i < original.instruments().size(); ++i) {
     const auto segLen =
         original.segment(original.instrument(i).segment).length;
@@ -38,12 +39,12 @@ int main() {
     // Record a read access on the initial network.
     sim::ScanSimulator recordSim(original);
     recordSim.setInstrumentValue(i, sim::accessMarker(segLen));
-    sim::Retargeter recorder(recordSim);
+    sim::Retargeter recorder(recordSim, *flat);
     const auto read = recorder.readInstrument(i);
 
     // Record a write access (fresh simulator: patterns start from reset).
     sim::ScanSimulator writeSim(original);
-    sim::Retargeter writer(writeSim);
+    sim::Retargeter writer(writeSim, *flat);
     const auto write = writer.writeInstrument(i, sim::accessMarker(segLen));
 
     if (!read.success || !write.success) {

@@ -98,6 +98,7 @@ int main() {
   // defect RSN*, starting from the reset configuration (strict mode —
   // control bits are written through the network itself, not assumed).
   const fault::FaultUniverse universe(net);
+  const auto flat = rsn::FlatNetwork::lower(net);
   const auto strictlySafe = [&](const harden::HardeningPlan& plan,
                                 const fault::Fault** blocking) {
     for (const fault::Fault& f : universe.faults()) {
@@ -110,7 +111,7 @@ int main() {
         if (!spec.of(i).criticalSet) continue;
         sim::ScanSimulator sim(net);
         sim.injectFault(f);
-        sim::Retargeter rt(sim);
+        sim::Retargeter rt(sim, *flat);
         const auto len = net.segment(net.instrument(i).segment).length;
         if (!rt.writeInstrument(i, sim::accessMarker(len)).success) {
           if (blocking != nullptr) *blocking = &f;

@@ -15,7 +15,6 @@
 #include "lint/lint.hpp"
 #include "obs/obs.hpp"
 #include "rsn/flat.hpp"
-#include "rsn/graph_view.hpp"
 #include "sp/decomposition.hpp"
 #include "support/rng.hpp"
 #include "verify/certifier.hpp"
@@ -654,7 +653,7 @@ FaultRecord CampaignEngine::probeScenario(
   rec.read.assign(n, 'L');
   rec.write.assign(n, 'L');
   sim::ScanSimulator sim(*net_);
-  sim::Retargeter engine(sim, config_.retarget);
+  sim::Retargeter engine(sim, *flat_, config_.retarget);
   for (std::size_t i = 0; i < n; ++i) {
     const auto inst = static_cast<rsn::InstrumentId>(i);
     rec.read[i] = toChar(probeAccess(sim, engine, s, inst, /*isRead=*/true));
@@ -666,7 +665,7 @@ FaultRecord CampaignEngine::probeScenario(
     // across probes would show up here, not as an oracle "interaction".
     if (s.kind == CampaignMode::Pairs) {
       sim::ScanSimulator ref(*net_);
-      sim::Retargeter refEngine(ref, config_.retarget);
+      sim::Retargeter refEngine(ref, *flat_, config_.retarget);
       const char refRead =
           toChar(probeAccess(ref, refEngine, s, inst, /*isRead=*/true));
       const char refWrite =
@@ -724,7 +723,6 @@ CampaignResult CampaignEngine::run() {
     oracles.graphSet.resize(m);
     oracles.treeObs.resize(m);
     oracles.treeSet.resize(m);
-    const rsn::GraphView gv = rsn::buildGraphView(*net_);
     const sp::DecompositionTree tree = sp::DecompositionTree::build(*net_);
     // Expected rows: one certification over the same excluded
     // primitives, so its universe is singles_ in the same order.  The
@@ -748,7 +746,7 @@ CampaignResult CampaignEngine::run() {
         if (cert.write(k, i) == verify::Verdict::Proven) e.settable.set(i);
       }
       const fault::AccessibilityLoss graphLoss =
-          fault::lossUnderFaultGraph(*net_, gv, f);
+          fault::lossUnderFaultGraph(*flat_, f);
       const fault::AccessibilityLoss treeLoss =
           fault::lossUnderFaultTree(tree, f);
       const auto invert = [n](const DynamicBitset& lost) {

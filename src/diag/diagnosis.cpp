@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "obs/obs.hpp"
+#include "rsn/flat.hpp"
 #include "sim/retarget.hpp"
 #include "support/hash.hpp"
 #include "support/parallel.hpp"
@@ -15,26 +16,8 @@ namespace rrsn::diag {
 
 Syndrome FaultDictionary::measure(const rsn::Network& net,
                                   const fault::Fault* f) {
-  const std::size_t n = net.instruments().size();
-  Syndrome syn;
-  syn.passed = DynamicBitset(2 * n);
-  for (rsn::InstrumentId i = 0; i < n; ++i) {
-    const auto len = net.segment(net.instrument(i).segment).length;
-    {
-      sim::ScanSimulator simulator(net);
-      if (f != nullptr) simulator.injectFault(*f);
-      sim::Retargeter rt(simulator);
-      if (rt.readInstrument(i).success) syn.passed.set(2 * i);
-    }
-    {
-      sim::ScanSimulator simulator(net);
-      if (f != nullptr) simulator.injectFault(*f);
-      sim::Retargeter rt(simulator);
-      if (rt.writeInstrument(i, sim::accessMarker(len)).success)
-        syn.passed.set(2 * i + 1);
-    }
-  }
-  return syn;
+  return measureMulti(net, f != nullptr ? std::vector<fault::Fault>{*f}
+                                        : std::vector<fault::Fault>{});
 }
 
 Syndrome FaultDictionary::measureMulti(const rsn::Network& net,
@@ -42,18 +25,21 @@ Syndrome FaultDictionary::measureMulti(const rsn::Network& net,
   const std::size_t n = net.instruments().size();
   Syndrome syn;
   syn.passed = DynamicBitset(2 * n);
+  // One arena for all 2n retargeters; each probe still starts from a
+  // fresh simulator.
+  const auto flat = rsn::FlatNetwork::lower(net);
   for (rsn::InstrumentId i = 0; i < n; ++i) {
     const auto len = net.segment(net.instrument(i).segment).length;
     {
       sim::ScanSimulator simulator(net);
       simulator.injectFaults(faults);
-      sim::Retargeter rt(simulator);
+      sim::Retargeter rt(simulator, *flat);
       if (rt.readInstrument(i).success) syn.passed.set(2 * i);
     }
     {
       sim::ScanSimulator simulator(net);
       simulator.injectFaults(faults);
-      sim::Retargeter rt(simulator);
+      sim::Retargeter rt(simulator, *flat);
       if (rt.writeInstrument(i, sim::accessMarker(len)).success)
         syn.passed.set(2 * i + 1);
     }

@@ -76,12 +76,14 @@ class FaultDictionary {
   const Syndrome& syndromeOf(std::size_t faultIndex) const;
 
   /// Measures the syndrome of a (possibly fault-injected) network by
-  /// running the standard access set on a fresh simulator (the
-  /// per-probe reference the built rows are tested against).
+  /// running the standard access set, each access on a fresh simulator
+  /// (the per-probe reference the built rows are tested against).
+  /// measureMulti of the zero- or one-element fault list.
   static Syndrome measure(const rsn::Network& net, const fault::Fault* f);
 
   /// Same, with any number of simultaneous permanent faults injected —
-  /// the reference measurement for multi-fault diagnosis.
+  /// the reference measurement for multi-fault diagnosis.  Lowers `net`
+  /// once per call.
   static Syndrome measureMulti(const rsn::Network& net,
                                const std::vector<fault::Fault>& faults);
 

@@ -85,33 +85,28 @@ AccessibilityLoss lossUnderFaultTree(const DecompositionTree& tree,
 
 namespace {
 
-/// BFS over the graph view honoring the fault: a broken segment vertex is
-/// impassable; a stuck mux only accepts its selected branch's exit.
-/// `forward` false walks predecessor edges (for settability).
-std::vector<bool> faultAwareReach(const rsn::Network& net,
-                                  const rsn::GraphView& gv,
+/// BFS over the guarded CSR honoring the fault: a broken segment vertex
+/// is impassable; a stuck mux only accepts the edges whose branch span
+/// holds the stuck branch.  `forward` false walks predecessor edges (for
+/// settability).
+std::vector<bool> faultAwareReach(const rsn::FlatNetwork& flat,
                                   const Fault& f, graph::VertexId start,
                                   bool forward, bool ignoreBreak) {
-  const graph::Digraph& g = gv.graph;
-  std::vector<bool> seen(g.vertexCount(), false);
+  std::vector<bool> seen(flat.vertexCount(), false);
+  const graph::VertexId broken =
+      f.kind == FaultKind::SegmentBreak && !ignoreBreak
+          ? flat.segmentVertex()[f.prim]
+          : graph::kNoVertex;
+  const auto offsets = forward ? flat.fwdOffsets() : flat.bwdOffsets();
+  const auto edges = forward ? flat.fwdEdges() : flat.bwdEdges();
+  const auto pool = flat.branchPool();
 
-  graph::VertexId broken = graph::kNoVertex;
-  graph::VertexId stuckMux = graph::kNoVertex;
-  graph::VertexId allowedExit = graph::kNoVertex;
-  if (f.kind == FaultKind::SegmentBreak) {
-    if (!ignoreBreak) broken = gv.segmentVertex[f.prim];
-  } else {
-    stuckMux = gv.muxVertex[f.prim];
-    RRSN_CHECK(f.stuckBranch < gv.muxBranchExit[f.prim].size(),
-               "stuck branch out of range");
-    allowedExit = gv.muxBranchExit[f.prim][f.stuckBranch];
-  }
-  (void)net;
-
-  const auto edgeAllowed = [&](graph::VertexId from, graph::VertexId to) {
-    if (from == broken || to == broken) return false;
-    if (to == stuckMux && from != allowedExit) return false;
-    return true;
+  const auto edgeAllowed = [&](const rsn::FlatNetwork::Edge& e) {
+    if (e.other == broken) return false;
+    if (f.kind != FaultKind::MuxStuck || e.mux != f.prim) return true;
+    for (std::uint32_t k = e.branchBegin; k < e.branchEnd; ++k)
+      if (pool[k] == f.stuckBranch) return true;
+    return false;
   };
 
   if (start == broken) return seen;  // the defect vertex itself is dead
@@ -121,15 +116,11 @@ std::vector<bool> faultAwareReach(const rsn::Network& net,
   while (!work.empty()) {
     const graph::VertexId v = work.front();
     work.pop();
-    const auto& next = forward ? g.successors(v) : g.predecessors(v);
-    for (graph::VertexId n : next) {
-      const graph::VertexId from = forward ? v : n;
-      const graph::VertexId to = forward ? n : v;
-      if (!edgeAllowed(from, to)) continue;
-      if (!seen[n]) {
-        seen[n] = true;
-        work.push(n);
-      }
+    for (std::uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      const rsn::FlatNetwork::Edge& e = edges[i];
+      if (!edgeAllowed(e) || seen[e.other]) continue;
+      seen[e.other] = true;
+      work.push(e.other);
     }
   }
   return seen;
@@ -137,12 +128,15 @@ std::vector<bool> faultAwareReach(const rsn::Network& net,
 
 }  // namespace
 
-AccessibilityLoss lossUnderFaultGraph(const rsn::Network& net,
-                                      const rsn::GraphView& gv,
+AccessibilityLoss lossUnderFaultGraph(const rsn::FlatNetwork& flat,
                                       const Fault& f) {
+  if (f.kind == FaultKind::MuxStuck)
+    RRSN_CHECK(f.stuckBranch < flat.muxArity()[f.prim],
+               "stuck branch out of range");
+  const std::size_t n = flat.instrumentCount();
   AccessibilityLoss loss;
-  loss.unobservable = DynamicBitset(net.instruments().size());
-  loss.unsettable = DynamicBitset(net.instruments().size());
+  loss.unobservable = DynamicBitset(n);
+  loss.unsettable = DynamicBitset(n);
 
   // A primitive is accessible only while it lies on a complete sensitized
   // scan path (Sec. IV-B2), so each direction combines two reachabilities:
@@ -154,23 +148,22 @@ AccessibilityLoss lossUnderFaultGraph(const rsn::Network& net,
   // Stuck-mux constraints apply to every leg; only the break may be
   // ignored on the "other" leg.
   const auto reachesOutClean =
-      faultAwareReach(net, gv, f, gv.scanOut, /*forward=*/false,
+      faultAwareReach(flat, f, flat.scanOut(), /*forward=*/false,
                       /*ignoreBreak=*/false);
   const auto reachedInClean =
-      faultAwareReach(net, gv, f, gv.scanIn, /*forward=*/true,
+      faultAwareReach(flat, f, flat.scanIn(), /*forward=*/true,
                       /*ignoreBreak=*/false);
   const auto reachesOutAny =
-      faultAwareReach(net, gv, f, gv.scanOut, /*forward=*/false,
+      faultAwareReach(flat, f, flat.scanOut(), /*forward=*/false,
                       /*ignoreBreak=*/true);
   const auto reachedInAny =
-      faultAwareReach(net, gv, f, gv.scanIn, /*forward=*/true,
+      faultAwareReach(flat, f, flat.scanIn(), /*forward=*/true,
                       /*ignoreBreak=*/true);
 
-  for (InstrumentId i = 0; i < net.instruments().size(); ++i) {
-    const graph::VertexId segV =
-        gv.segmentVertex[net.instrument(i).segment];
+  for (InstrumentId i = 0; i < n; ++i) {
+    const graph::VertexId segV = flat.instrumentVertex()[i];
     const bool brokenSelf = f.kind == FaultKind::SegmentBreak &&
-                            gv.segmentVertex[f.prim] == segV;
+                            flat.segmentVertex()[f.prim] == segV;
     if (brokenSelf || !(reachedInAny[segV] && reachesOutClean[segV]))
       loss.unobservable.set(i);
     if (brokenSelf || !(reachedInClean[segV] && reachesOutAny[segV]))

@@ -8,15 +8,15 @@
 //    it splits the branch into an unobservable upstream part and an
 //    unsettable downstream part; a stuck mux disconnects all non-selected
 //    branches entirely.
-//  * lossUnderFaultGraph — a brute-force oracle on the flat graph view:
-//    instrument i stays observable iff a path from its segment to the
-//    scan-out avoids the defect, and settable iff a path from the scan-in
-//    to its segment does.
+//  * lossUnderFaultGraph — a brute-force oracle on the lowered scan graph
+//    (the FlatNetwork arena's guarded CSR): instrument i stays observable
+//    iff a path from its segment to the scan-out avoids the defect, and
+//    settable iff a path from the scan-in to its segment does.
 // The test suite checks the two agree on every fault of every network.
 #pragma once
 
 #include "fault/fault.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "sp/decomposition.hpp"
 #include "support/bitset.hpp"
 
@@ -32,9 +32,9 @@ struct AccessibilityLoss {
 AccessibilityLoss lossUnderFaultTree(const sp::DecompositionTree& tree,
                                      const Fault& f);
 
-/// Flat-graph oracle.  `gv` must be buildGraphView(net) for the same net.
-AccessibilityLoss lossUnderFaultGraph(const rsn::Network& net,
-                                      const rsn::GraphView& gv,
+/// Flat-graph oracle: four breadth-first searches over the arena's
+/// guarded CSR.
+AccessibilityLoss lossUnderFaultGraph(const rsn::FlatNetwork& flat,
                                       const Fault& f);
 
 /// Weighted damage of one fault under a specification (Eq. 1 restricted

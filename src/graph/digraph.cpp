@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <sstream>
 
 namespace rrsn::graph {
 
@@ -25,20 +24,6 @@ void Digraph::addEdge(VertexId from, VertexId to) {
 void Digraph::setLabel(VertexId v, std::string label) {
   RRSN_CHECK(v < labels_.size(), "vertex id out of range");
   labels_[v] = std::move(label);
-}
-
-Csr buildCsr(const Digraph& g, bool reverse) {
-  const std::size_t n = g.vertexCount();
-  Csr csr;
-  csr.offsets.resize(n + 1, 0);
-  csr.targets.reserve(g.edgeCount());
-  for (VertexId v = 0; v < n; ++v) {
-    csr.offsets[v] = static_cast<std::uint32_t>(csr.targets.size());
-    const auto& row = reverse ? g.predecessors(v) : g.successors(v);
-    csr.targets.insert(csr.targets.end(), row.begin(), row.end());
-  }
-  csr.offsets[n] = static_cast<std::uint32_t>(csr.targets.size());
-  return csr;
 }
 
 std::vector<VertexId> topologicalOrder(const Digraph& g) {
@@ -204,33 +189,6 @@ bool isTwoTerminalDag(const Digraph& g, VertexId source, VertexId sink) {
     if (v != sink && g.outDegree(v) == 0) return false;
   }
   return true;
-}
-
-std::string toDot(const Digraph& g, const std::string& graphName,
-                  const std::function<std::string(VertexId)>& vertexAttrs) {
-  const auto quote = [](const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    out.push_back('"');
-    return out;
-  };
-  std::ostringstream os;
-  os << "digraph " << quote(graphName) << " {\n  rankdir=LR;\n";
-  for (VertexId v = 0; v < g.vertexCount(); ++v) {
-    os << "  n" << v << " [label=" << quote(g.label(v));
-    if (vertexAttrs) {
-      const std::string extra = vertexAttrs(v);
-      if (!extra.empty()) os << ',' << extra;
-    }
-    os << "];\n";
-  }
-  for (VertexId v = 0; v < g.vertexCount(); ++v)
-    for (VertexId s : g.successors(v)) os << "  n" << v << " -> n" << s << ";\n";
-  os << "}\n";
-  return os.str();
 }
 
 }  // namespace rrsn::graph

@@ -1,13 +1,14 @@
 // A small generic directed-graph container.
 //
-// The RSN itself has a richer typed model (src/rsn); this module provides
-// the plain graph view of Sec. III ("An RSN is modeled as a directed graph
-// G := (V, E)") plus the algorithms the modeling section relies on:
-// topological order, reachability, dominators and reconvergence analysis.
+// The RSN itself is lowered into a CSR arena (rsn/flat.hpp); this module
+// provides a general graph of Sec. III ("An RSN is modeled as a directed
+// graph G := (V, E)") — the input of the series-parallel recognition in
+// src/sp, which may rewrite it — plus the algorithms the modeling section
+// relies on: topological order, reachability, dominators and
+// reconvergence analysis.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -59,29 +60,6 @@ class Digraph {
   std::size_t edgeCount_ = 0;
 };
 
-/// Compressed-sparse-row snapshot of a Digraph's adjacency: the
-/// neighbours of v are targets[offsets[v] .. offsets[v+1]).  A flat
-/// layout the traversal kernels can walk without pointer chasing, and
-/// whose rows align with any parallel per-edge annotation arrays
-/// (parallel edges are preserved, in insertion order per vertex).
-struct Csr {
-  std::vector<std::uint32_t> offsets;  ///< vertexCount + 1 entries
-  std::vector<VertexId> targets;
-
-  std::size_t vertexCount() const {
-    return offsets.empty() ? 0 : offsets.size() - 1;
-  }
-  std::size_t edgeCount() const { return targets.size(); }
-
-  std::uint32_t rowBegin(VertexId v) const { return offsets[v]; }
-  std::uint32_t rowEnd(VertexId v) const { return offsets[v + 1]; }
-  std::size_t degree(VertexId v) const { return rowEnd(v) - rowBegin(v); }
-};
-
-/// Lowers the adjacency lists into CSR form.  `reverse` emits the
-/// transposed graph (row v lists the predecessors of v).
-Csr buildCsr(const Digraph& g, bool reverse = false);
-
 /// Vertices in a topological order.  Throws ValidationError if the graph
 /// has a cycle (a structural scan path must be acyclic).
 std::vector<VertexId> topologicalOrder(const Digraph& g);
@@ -119,10 +97,5 @@ std::vector<Reconvergence> findReconvergences(const Digraph& g, VertexId sink);
 /// in-degree 0), one sink (= `sink`, out-degree 0), and every vertex lies
 /// on some source->sink path.
 bool isTwoTerminalDag(const Digraph& g, VertexId source, VertexId sink);
-
-/// Renders the graph in Graphviz DOT syntax.  `vertexAttrs` (optional)
-/// returns extra attributes for a vertex, e.g. "shape=box,color=red".
-std::string toDot(const Digraph& g, const std::string& graphName,
-                  const std::function<std::string(VertexId)>& vertexAttrs = {});
 
 }  // namespace rrsn::graph

@@ -1,7 +1,8 @@
 // rrsn_lint: static verification of RSN models.
 //
-// A multi-pass checker over the typed Network model and its flat
-// GraphView, running a fixed registry of rules:
+// A multi-pass checker over the typed Network model — its primitive
+// tables and Structure tree — running a fixed registry of rules (only
+// ready.non-sp lowers the network, to reduce its flat scan graph):
 //
 //   * structural  — scan-path/control problems: control deadlock cycles,
 //     control registers too narrow for their mux, segments that no
@@ -23,8 +24,9 @@
 // The checker is single-threaded and allocation-light by design: its
 // findings are a pure function of the model, byte-identical across runs
 // and thread counts, and `enforceClean` (the fail-fast hook at the head
-// of the analysis/campaign/EA entry points) costs O(V + E) per control
-// nesting level — microseconds on hand-written netlists.
+// of the analysis/campaign/EA entry points) needs no lowered graph: one
+// walk of the structure tree per control nesting level — microseconds
+// on hand-written netlists.
 #pragma once
 
 #include <cstdint>

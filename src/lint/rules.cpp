@@ -1,5 +1,7 @@
 // The model-level passes of rrsn_lint: every rule that inspects a
-// validated Network, its flat GraphView, or its decomposition tree.
+// validated Network, its lowered scan graph, or its decomposition tree.
+// Only ready.non-sp needs the scan graph, so the error-severity
+// (fail-fast) passes read the Network and its Structure tree alone.
 //
 // All passes are single-threaded and deterministic: they iterate the
 // dense primitive/structure ids in ascending order, so two runs over the
@@ -15,7 +17,7 @@
 
 #include "lint/lint.hpp"
 #include "obs/obs.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "sp/decomposition.hpp"
 #include "sp/sp_reduce.hpp"
 
@@ -35,7 +37,13 @@ std::string toLower(const std::string& s) {
 class Runner {
  public:
   Runner(const rsn::Network& net, const LintOptions& opts, LintResult& out)
-      : net_(net), opts_(opts), out_(out), gv_(rsn::buildGraphView(net)) {}
+      : net_(net), opts_(opts), out_(out), arity_(net.muxes().size(), 0) {
+    const rsn::Structure& st = net.structure();
+    st.preOrder([&](rsn::NodeId id) {
+      const auto& n = st.node(id);
+      if (n.kind == rsn::NodeKind::MuxJoin) arity_[n.prim] = n.children.size();
+    });
+  }
 
   void run() {
     // Error-severity passes (also the fail-fast configuration).
@@ -84,7 +92,7 @@ class Runner {
     for (rsn::MuxId m = 0; m < net_.muxes().size(); ++m) {
       const rsn::Mux& mux = net_.mux(m);
       if (mux.controlSegment == rsn::kNone) continue;
-      const std::size_t arity = gv_.muxBranchExit[m].size();
+      const std::size_t arity = arity_[m];
       const std::uint32_t len = net_.segment(mux.controlSegment).length;
       if (len >= 32 || arity <= (std::size_t{1} << len)) continue;
       emit("struct.ctrl-width", mux.name,
@@ -204,74 +212,53 @@ class Runner {
   //
   // Growing control-steerability fixpoint from the reset configuration.
   // A branch is *steerable* once it is addressable and its control
-  // register is settable (reset branches and TAP-steered muxes start
-  // steerable); a segment is *settable* once it is forward-reachable
-  // from scan-in and backward-reachable to scan-out over edges whose mux
-  // entries are gated on steerable branches.  The fixpoint grows
-  // monotonically, one control-nesting level per round; segments still
-  // unreachable at the fixpoint are provably never on an active path.
+  // register lies on an active scan path (reset branches and TAP-steered
+  // muxes start steerable).  A segment lies on an active path iff every
+  // (mux, branch) on its ancestor chain is steerable: entering a branch
+  // needs no steering (the fan-out feeds every branch), and every mux the
+  // path merely passes on its way from scan-in to the segment and on to
+  // scan-out can be passed on branch 0, which is always addressable and
+  // steerable from reset.  So one walk of the structure tree per round
+  // decides every segment.  The fixpoint grows monotonically, one
+  // control-nesting level per round; segments still off every active
+  // path at the fixpoint are provably never on one.
   void checkReachability() {
     const std::size_t M = net_.muxes().size();
-    const std::size_t V = gv_.graph.vertexCount();
-
-    std::vector<rsn::MuxId> muxOf(V, rsn::kNone);
-    for (rsn::MuxId m = 0; m < M; ++m) muxOf[gv_.muxVertex[m]] = m;
-
     std::vector<std::vector<char>> steer(M);
     for (rsn::MuxId m = 0; m < M; ++m) {
       const rsn::SegmentId ctrl = net_.mux(m).controlSegment;
-      const std::size_t arity = gv_.muxBranchExit[m].size();
-      steer[m].assign(arity, 0);
-      for (std::size_t b = 0; b < arity; ++b)
+      steer[m].assign(arity_[m], 0);
+      for (std::size_t b = 0; b < arity_[m]; ++b)
         steer[m][b] =
             static_cast<char>(addressable(m, b) &&
                               (b == 0 || ctrl == rsn::kNone) ? 1 : 0);
     }
 
-    // Edge u -> v is usable iff v is not a mux entry, or u exits some
-    // currently steerable branch of that mux.
-    const auto edgeAllowed = [&](graph::VertexId u, graph::VertexId v) {
-      const rsn::MuxId m = muxOf[v];
-      if (m == rsn::kNone) return true;
-      const auto& exits = gv_.muxBranchExit[m];
-      for (std::size_t b = 0; b < exits.size(); ++b)
-        if (exits[b] == u && steer[m][b] != 0) return true;
-      return false;
+    const rsn::Structure& st = net_.structure();
+    std::vector<char> onPath(net_.segments().size(), 0);
+    struct Frame {
+      rsn::NodeId id;
+      bool steerable;  ///< every enclosing (mux, branch) is steerable
     };
-
-    std::vector<char> fwd(V, 0);
-    std::vector<char> bwd(V, 0);
-    const auto sweep = [&](graph::VertexId start, bool forward,
-                           std::vector<char>& seen) {
-      std::fill(seen.begin(), seen.end(), 0);
-      std::vector<graph::VertexId> stack{start};
-      seen[start] = 1;
+    std::vector<Frame> stack;
+    bool changed = true;
+    while (changed) {
+      stack.push_back({st.root(), true});
       while (!stack.empty()) {
-        const graph::VertexId u = stack.back();
+        const Frame fr = stack.back();
         stack.pop_back();
-        const auto& next =
-            forward ? gv_.graph.successors(u) : gv_.graph.predecessors(u);
-        for (const graph::VertexId v : next) {
-          if (seen[v] != 0) continue;
-          if (!(forward ? edgeAllowed(u, v) : edgeAllowed(v, u))) continue;
-          seen[v] = 1;
-          stack.push_back(v);
+        const auto& n = st.node(fr.id);
+        if (n.kind == rsn::NodeKind::Segment) onPath[n.prim] = fr.steerable;
+        const bool join = n.kind == rsn::NodeKind::MuxJoin;
+        for (std::size_t c = 0; c < n.children.size(); ++c) {
+          const bool steered = !join || steer[n.prim][c] != 0;
+          stack.push_back({n.children[c], fr.steerable && steered});
         }
       }
-    };
-
-    // Each productive round unlocks at least one mux, so M + 1 rounds
-    // always reach the fixpoint (the final round observes no change and
-    // leaves fwd/bwd consistent with the terminal steerable set).
-    for (std::size_t round = 0; round <= M + 1; ++round) {
-      sweep(gv_.scanIn, true, fwd);
-      sweep(gv_.scanOut, false, bwd);
-      bool changed = false;
+      changed = false;
       for (rsn::MuxId m = 0; m < M; ++m) {
         const rsn::SegmentId ctrl = net_.mux(m).controlSegment;
-        if (ctrl == rsn::kNone) continue;
-        const graph::VertexId cv = gv_.segmentVertex[ctrl];
-        if (fwd[cv] == 0 || bwd[cv] == 0) continue;
+        if (ctrl == rsn::kNone || onPath[ctrl] == 0) continue;
         for (std::size_t b = 0; b < steer[m].size(); ++b) {
           if (steer[m][b] == 0 && addressable(m, b)) {
             steer[m][b] = 1;
@@ -279,12 +266,10 @@ class Runner {
           }
         }
       }
-      if (!changed) break;
     }
 
     for (rsn::SegmentId s = 0; s < net_.segments().size(); ++s) {
-      const graph::VertexId sv = gv_.segmentVertex[s];
-      if (fwd[sv] != 0 && bwd[sv] != 0) continue;
+      if (onPath[s] != 0) continue;
       emit("struct.unreachable", net_.segment(s).name,
            "segment '" + net_.segment(s).name +
                "' is never on an active scan path: no configuration "
@@ -407,9 +392,13 @@ class Runner {
 
   // ---- ready.non-sp ----------------------------------------------------
   void checkSeriesParallelReadiness() {
-    if (gv_.graph.vertexCount() > opts_.spCheckVertexCap) return;
-    const sp::SpCheck check =
-        sp::checkSeriesParallel(gv_.graph, gv_.scanIn, gv_.scanOut);
+    // The lowered graph has 2 + S + 2M vertices (flat.hpp numbering).
+    const std::size_t vertices =
+        2 + net_.segments().size() + 2 * net_.muxes().size();
+    if (vertices > opts_.spCheckVertexCap) return;
+    const auto flat = rsn::FlatNetwork::lower(net_);
+    const sp::SpCheck check = sp::checkSeriesParallel(
+        sp::digraphOf(*flat), flat->scanIn(), flat->scanOut());
     if (check.isSeriesParallel) return;
     emit("ready.non-sp", {},
          "flat scan graph is not two-terminal series-parallel (" +
@@ -516,7 +505,8 @@ class Runner {
   const rsn::Network& net_;
   const LintOptions& opts_;
   LintResult& out_;
-  rsn::GraphView gv_;
+  /// Branch count per mux, read off its MuxJoin node.
+  std::vector<std::size_t> arity_;
 };
 
 }  // namespace

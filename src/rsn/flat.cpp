@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <sstream>
 #include <type_traits>
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "rsn/graph_view.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 
@@ -150,12 +150,80 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   obs::count(kFlattenCalls);
   RRSN_OBS_SPAN("flat.lower");
 
-  const GraphView gv = buildGraphView(net);
-  const graph::Digraph& g = gv.graph;
-  const std::size_t vertices = g.vertexCount();
+  const Structure& st = net.structure();
   const std::size_t segCount = net.segments().size();
   const std::size_t muxCount = net.muxes().size();
   const std::size_t instCount = net.instruments().size();
+  // The vertex numbering documented in flat.hpp.
+  const std::size_t vertices = 2 + segCount + 2 * muxCount;
+  const graph::VertexId scanIn = 0;
+  const auto scanOut = static_cast<graph::VertexId>(vertices - 1);
+  std::vector<graph::VertexId> segmentVertex(segCount);
+  for (std::size_t s = 0; s < segCount; ++s)
+    segmentVertex[s] = static_cast<graph::VertexId>(1 + s);
+  std::vector<graph::VertexId> muxVertex(muxCount);
+  for (std::size_t m = 0; m < muxCount; ++m)
+    muxVertex[m] = static_cast<graph::VertexId>(1 + segCount + 2 * m);
+
+  // ---------------------------------------------------- structure walk
+  // One walk emits the data-graph edges (scan-in side first), each
+  // mux's branch exits in branch order, and each segment's guard set:
+  // the (mux, branch != 0) selections of its segment-controlled
+  // enclosing muxes.  Guard sets are kept in walk order and packed by
+  // segment id below.
+  struct Arc {
+    graph::VertexId from;
+    graph::VertexId to;
+  };
+  std::vector<Arc> arcs;
+  arcs.reserve(vertices + muxCount);
+  std::vector<std::uint32_t> muxArity(muxCount, 0);
+  std::vector<std::pair<std::uint32_t, graph::VertexId>> exits;
+  exits.reserve(2 * muxCount);
+  std::vector<GuardRef> walkGuards;
+  std::vector<std::uint32_t> guardAt(segCount, 0);
+  std::vector<std::uint32_t> guardLen(segCount, 0);
+  std::vector<GuardRef> context;
+  const auto emit = [&](auto&& self, NodeId id,
+                        graph::VertexId in) -> graph::VertexId {
+    const Structure::Node& n = st.node(id);
+    switch (n.kind) {
+      case NodeKind::Wire:
+        return in;
+      case NodeKind::Segment: {
+        const graph::VertexId v = segmentVertex[n.prim];
+        arcs.push_back({in, v});
+        guardAt[n.prim] = static_cast<std::uint32_t>(walkGuards.size());
+        guardLen[n.prim] = static_cast<std::uint32_t>(context.size());
+        walkGuards.insert(walkGuards.end(), context.begin(), context.end());
+        return v;
+      }
+      case NodeKind::Serial: {
+        graph::VertexId cur = in;
+        for (const NodeId c : n.children) cur = self(self, c, cur);
+        return cur;
+      }
+      case NodeKind::MuxJoin: {
+        const graph::VertexId mx = muxVertex[n.prim];
+        const graph::VertexId fo = mx + 1;
+        arcs.push_back({in, fo});
+        muxArity[n.prim] = static_cast<std::uint32_t>(n.children.size());
+        const bool segCtrl = net.mux(n.prim).controlSegment != kNone;
+        for (std::size_t b = 0; b < n.children.size(); ++b) {
+          const bool guarded = segCtrl && b != 0;
+          if (guarded)
+            context.push_back({n.prim, static_cast<std::uint32_t>(b)});
+          const graph::VertexId exit = self(self, n.children[b], fo);
+          if (guarded) context.pop_back();
+          arcs.push_back({exit, mx});
+          exits.emplace_back(n.prim, exit);
+        }
+        return mx;
+      }
+    }
+    throw Error("unreachable structure node kind");
+  };
+  arcs.push_back({emit(emit, st.root(), scanIn), scanOut});
 
   // ------------------------------------------------- per-segment arrays
   std::vector<std::uint32_t> segLength(segCount, 0);
@@ -174,7 +242,7 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   std::vector<std::uint64_t> instSet(instCount, 0);
   for (std::size_t i = 0; i < instCount; ++i) {
     instSegment[i] = net.instruments()[i].segment;
-    instVertex[i] = gv.segmentVertex[instSegment[i]];
+    instVertex[i] = segmentVertex[instSegment[i]];
     if (spec != nullptr) {
       const DamageWeights& w = spec->of(static_cast<InstrumentId>(i));
       instObs[i] = w.obs;
@@ -185,31 +253,25 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   // ---------------------------------------------- per-mux control data
   std::vector<std::uint32_t> muxOfVertex(vertices, kNone);
   for (std::size_t m = 0; m < muxCount; ++m)
-    muxOfVertex[gv.muxVertex[m]] = static_cast<std::uint32_t>(m);
+    muxOfVertex[muxVertex[m]] = static_cast<std::uint32_t>(m);
 
   std::vector<std::uint32_t> muxControl(muxCount, kNone);
   std::vector<graph::VertexId> muxCtrlVertex(muxCount, graph::kNoVertex);
-  std::vector<std::uint32_t> muxArity(muxCount, 0);
   std::vector<std::uint32_t> selOffset(muxCount, 0);
   std::vector<std::uint32_t> ctrlMuxes;
+  std::vector<std::uint8_t> ctrlRegVertex(vertices, 0);
   std::size_t selWords = 0;
   for (std::size_t m = 0; m < muxCount; ++m) {
-    const auto arity = static_cast<std::uint32_t>(gv.muxBranchExit[m].size());
-    muxArity[m] = arity;
     selOffset[m] = static_cast<std::uint32_t>(selWords);
-    selWords += (static_cast<std::size_t>(arity) + 63) / 64;
+    selWords += (static_cast<std::size_t>(muxArity[m]) + 63) / 64;
     const SegmentId ctrl = net.muxes()[m].controlSegment;
     muxControl[m] = ctrl;
     if (ctrl == kNone) continue;
-    muxCtrlVertex[m] = gv.segmentVertex[ctrl];
+    muxCtrlVertex[m] = segmentVertex[ctrl];
     ctrlMuxes.push_back(static_cast<std::uint32_t>(m));
     segFlags[ctrl] |= kSegFlagControlsMux;
+    ctrlRegVertex[segmentVertex[ctrl]] = 1;
   }
-
-  std::vector<std::uint8_t> ctrlRegVertex(vertices, 0);
-  for (std::size_t m = 0; m < muxCount; ++m)
-    if (muxControl[m] != kNone)
-      ctrlRegVertex[gv.segmentVertex[muxControl[m]]] = 1;
 
   std::vector<std::uint64_t> representableWords(selWords, 0);
   for (std::size_t m = 0; m < muxCount; ++m) {
@@ -243,79 +305,57 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   }
 
   // Branch-exit CSR (mux m, branch b -> exit vertex of that branch).
+  // The walk records each mux's exits in branch order, interleaved with
+  // the exits of nested muxes; a stable bucket pass by mux keeps that
+  // order.
   std::vector<std::uint32_t> muxBranchOffsets(muxCount + 1, 0);
   for (std::size_t m = 0; m < muxCount; ++m)
-    muxBranchOffsets[m + 1] =
-        muxBranchOffsets[m] + static_cast<std::uint32_t>(muxArity[m]);
+    muxBranchOffsets[m + 1] = muxBranchOffsets[m] + muxArity[m];
   std::vector<graph::VertexId> muxBranchExit(muxBranchOffsets[muxCount]);
-  for (std::size_t m = 0; m < muxCount; ++m)
-    std::copy(gv.muxBranchExit[m].begin(), gv.muxBranchExit[m].end(),
-              muxBranchExit.begin() + muxBranchOffsets[m]);
+  {
+    std::vector<std::uint32_t> cursor(muxBranchOffsets.begin(),
+                                      muxBranchOffsets.end() - 1);
+    for (const auto& [m, exit] : exits) muxBranchExit[cursor[m]++] = exit;
+  }
 
   // --------------------------------------------------- guarded CSR
+  // A stable counting sort of the emitted edges by tail (forward rows)
+  // and by head (backward rows) keeps every row in emission order.
+  const auto csrOf = [&](bool forward, std::vector<std::uint32_t>& offsets,
+                         std::vector<Edge>& edges) {
+    offsets.assign(vertices + 1, 0);
+    for (const Arc& a : arcs) ++offsets[(forward ? a.from : a.to) + 1];
+    for (std::size_t v = 0; v < vertices; ++v) offsets[v + 1] += offsets[v];
+    edges.assign(arcs.size(), Edge{});
+    std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (const Arc& a : arcs)
+      edges[cursor[forward ? a.from : a.to]++].other = forward ? a.to : a.from;
+  };
+  std::vector<std::uint32_t> fwdOffsets, bwdOffsets;
+  std::vector<Edge> fwdEdges, bwdEdges;
+  csrOf(/*forward=*/true, fwdOffsets, fwdEdges);
+  csrOf(/*forward=*/false, bwdOffsets, bwdEdges);
+
   // Branch span of the original edge exit -> mux(m): every branch of m
   // whose exit vertex is `exit` (parallel edges share the full span).
   std::vector<std::uint32_t> branchPool;
-  const auto appendSpan = [&](std::uint32_t m, graph::VertexId exit) {
-    const auto begin = static_cast<std::uint32_t>(branchPool.size());
-    for (std::size_t b = 0; b < gv.muxBranchExit[m].size(); ++b)
-      if (gv.muxBranchExit[m][b] == exit)
-        branchPool.push_back(static_cast<std::uint32_t>(b));
-    return std::pair{begin, static_cast<std::uint32_t>(branchPool.size())};
+  const auto annotate = [&](Edge& e, std::uint32_t m, graph::VertexId exit) {
+    e.mux = m;
+    if (m == kNone) return;
+    e.branchBegin = static_cast<std::uint32_t>(branchPool.size());
+    for (std::uint32_t b = 0; b < muxArity[m]; ++b)
+      if (muxBranchExit[muxBranchOffsets[m] + b] == exit)
+        branchPool.push_back(b);
+    e.branchEnd = static_cast<std::uint32_t>(branchPool.size());
   };
-
-  const graph::Csr fwd = graph::buildCsr(g, /*reverse=*/false);
-  const graph::Csr bwd = graph::buildCsr(g, /*reverse=*/true);
-  std::vector<Edge> fwdEdges(fwd.targets.size());
-  std::vector<Edge> bwdEdges(bwd.targets.size());
   for (graph::VertexId v = 0; v < vertices; ++v) {
-    for (std::uint32_t i = fwd.rowBegin(v); i < fwd.rowEnd(v); ++i) {
-      // Original edge v -> t: guarded iff t is a mux vertex.
-      const graph::VertexId t = fwd.targets[i];
-      Edge e{t, muxOfVertex[t], 0, 0};
-      if (e.mux != kNone)
-        std::tie(e.branchBegin, e.branchEnd) = appendSpan(e.mux, v);
-      fwdEdges[i] = e;
-    }
-    for (std::uint32_t i = bwd.rowBegin(v); i < bwd.rowEnd(v); ++i) {
-      // Original edge p -> v: guarded iff v is a mux vertex.
-      const graph::VertexId p = bwd.targets[i];
-      Edge e{p, muxOfVertex[v], 0, 0};
-      if (e.mux != kNone)
-        std::tie(e.branchBegin, e.branchEnd) = appendSpan(e.mux, p);
-      bwdEdges[i] = e;
-    }
+    // Original edge v -> t: guarded iff t is a mux vertex.
+    for (std::uint32_t i = fwdOffsets[v]; i < fwdOffsets[v + 1]; ++i)
+      annotate(fwdEdges[i], muxOfVertex[fwdEdges[i].other], v);
+    // Original edge p -> v: guarded iff v is a mux vertex.
+    for (std::uint32_t i = bwdOffsets[v]; i < bwdOffsets[v + 1]; ++i)
+      annotate(bwdEdges[i], muxOfVertex[v], bwdEdges[i].other);
   }
-
-  // ---------------------------------------------------- guard sets
-  using GuardSet = std::vector<GuardRef>;
-  std::vector<GuardSet> guardsOf(segCount);
-  GuardSet cur;
-  const auto walk = [&](auto&& self, NodeId id) -> void {
-    const auto& n = net.structure().node(id);
-    switch (n.kind) {
-      case NodeKind::Segment:
-        guardsOf[n.prim] = cur;
-        return;
-      case NodeKind::Wire:
-        return;
-      case NodeKind::Serial:
-        for (const NodeId c : n.children) self(self, c);
-        return;
-      case NodeKind::MuxJoin: {
-        const bool segCtrl = net.mux(n.prim).controlSegment != kNone;
-        for (std::size_t b = 0; b < n.children.size(); ++b) {
-          const bool guarded = segCtrl && b != 0;
-          if (guarded)
-            cur.push_back({n.prim, static_cast<std::uint32_t>(b)});
-          self(self, n.children[b]);
-          if (guarded) cur.pop_back();
-        }
-        return;
-      }
-    }
-  };
-  walk(walk, net.structure().root());
 
   // ------------------------------------------- configuration depths
   // Mutual recursion: a demand on mux m lands once its address register
@@ -332,9 +372,10 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
     if (segState[s] == 1) return kUnrealizableDepth;
     segState[s] = 1;
     std::uint32_t depth = 0;
-    for (const GuardRef& guard : guardsOf[s]) {
-      depth = std::max(depth, std::min(kUnrealizableDepth,
-                                       1 + self(self, muxControl[guard.mux])));
+    for (std::uint32_t g = guardAt[s]; g < guardAt[s] + guardLen[s]; ++g) {
+      const std::uint32_t ctrl = muxControl[walkGuards[g].mux];
+      depth = std::max(depth,
+                       std::min(kUnrealizableDepth, 1 + self(self, ctrl)));
     }
     segState[s] = 2;
     segDepth[s] = depth;
@@ -347,19 +388,19 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
 
   std::vector<std::uint32_t> guardOffsets(segCount + 1, 0);
   std::vector<GuardRef> guardPool;
+  guardPool.reserve(walkGuards.size());
   for (std::size_t s = 0; s < segCount; ++s) {
-    std::sort(guardsOf[s].begin(), guardsOf[s].end(),
-              [](const GuardRef& a, const GuardRef& b) {
-                return a.mux != b.mux ? a.mux < b.mux : a.branch < b.branch;
-              });
+    const auto first = walkGuards.begin() + guardAt[s];
+    const auto last = first + guardLen[s];
+    std::sort(first, last, [](const GuardRef& a, const GuardRef& b) {
+      return a.mux != b.mux ? a.mux < b.mux : a.branch < b.branch;
+    });
     guardOffsets[s] = static_cast<std::uint32_t>(guardPool.size());
-    guardPool.insert(guardPool.end(), guardsOf[s].begin(), guardsOf[s].end());
+    guardPool.insert(guardPool.end(), first, last);
   }
   guardOffsets[segCount] = static_cast<std::uint32_t>(guardPool.size());
 
   // ------------------------------------------------- pack the arena
-  const std::vector<graph::VertexId>& segmentVertex = gv.segmentVertex;
-  const std::vector<graph::VertexId>& muxVertex = gv.muxVertex;
   Pending pending[kSectionCount];
   pending[kSegLength] = pend(segLength);
   pending[kSegInstrument] = pend(segInstrument);
@@ -384,9 +425,9 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   pending[kInstVertex] = pend(instVertex);
   pending[kInstObsWeight] = pend(instObs);
   pending[kInstSetWeight] = pend(instSet);
-  pending[kFwdOffsets] = pend(fwd.offsets);
+  pending[kFwdOffsets] = pend(fwdOffsets);
   pending[kFwdEdges] = pend(fwdEdges);
-  pending[kBwdOffsets] = pend(bwd.offsets);
+  pending[kBwdOffsets] = pend(bwdOffsets);
   pending[kBwdEdges] = pend(bwdEdges);
   pending[kBranchPool] = pend(branchPool);
   pending[kCtrlRegVertex] = pend(ctrlRegVertex);
@@ -432,8 +473,8 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   hdr.ctrlMuxes = ctrlMuxes.size();
   hdr.ctrlEdges = ctrlEdges.size();
   hdr.branchExits = muxBranchExit.size();
-  hdr.scanIn = gv.scanIn;
-  hdr.scanOut = gv.scanOut;
+  hdr.scanIn = scanIn;
+  hdr.scanOut = scanOut;
   std::memcpy(base, &hdr, sizeof hdr);
 
   const Status attached = view->attach();
@@ -636,6 +677,51 @@ std::size_t FlatNetwork::vertexCount() const {
 graph::VertexId FlatNetwork::scanIn() const { return headerOf(base_).scanIn; }
 graph::VertexId FlatNetwork::scanOut() const {
   return headerOf(base_).scanOut;
+}
+
+std::string toDot(const Network& net) {
+  const auto flat = FlatNetwork::lower(net);
+  const auto quote = [](const std::string& text) {
+    std::string out = "\"";
+    for (const char c : text) {
+      if (c == '"' || c == '\\') out.push_back('\\');
+      out.push_back(c);
+    }
+    out.push_back('"');
+    return out;
+  };
+  const std::size_t segCount = flat->segmentCount();
+  const std::size_t vertices = flat->vertexCount();
+  std::ostringstream os;
+  os << "digraph " << quote(net.name()) << " {\n  rankdir=LR;\n";
+  for (std::size_t v = 0; v < vertices; ++v) {
+    // The vertex's role follows from the numbering documented in flat.hpp.
+    std::string label;
+    const char* attrs = "shape=ellipse";
+    if (v == flat->scanIn()) {
+      label = "SI";
+    } else if (v == flat->scanOut()) {
+      label = "SO";
+    } else if (v <= segCount) {
+      const Segment& seg = net.segment(static_cast<SegmentId>(v - 1));
+      label = seg.name;
+      attrs = seg.instrument != kNone
+                  ? "shape=box,style=filled,fillcolor=lightyellow"
+                  : "shape=box";
+    } else {
+      const std::size_t k = v - 1 - segCount;
+      const Mux& mux = net.mux(static_cast<MuxId>(k / 2));
+      label = k % 2 == 0 ? mux.name : "fo_" + mux.name;
+      attrs = k % 2 == 0 ? "shape=trapezium" : "shape=point";
+    }
+    os << "  n" << v << " [label=" << quote(label) << ',' << attrs << "];\n";
+  }
+  for (std::size_t v = 0; v < vertices; ++v)
+    for (std::uint32_t e = flat->fwdOffsets()[v]; e < flat->fwdOffsets()[v + 1];
+         ++e)
+      os << "  n" << v << " -> n" << flat->fwdEdges()[e].other << ";\n";
+  os << "}\n";
+  return os.str();
 }
 
 }  // namespace rrsn::rsn

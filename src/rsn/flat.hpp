@@ -1,12 +1,14 @@
 // Arena-backed structure-of-arrays core of an RSN (`FlatNetwork`).
 //
-// The pointer-rich Network / GraphView model is convenient to build and
-// validate, but every hot analysis kernel (criticality, dictionary
-// sweeps, campaign oracles, SPEA-2 fitness assembly) wants contiguous
+// The pointer-rich Network model is convenient to build and validate,
+// but every graph walk (criticality, dictionary sweeps, campaign
+// oracles, retargeting, SPEA-2 fitness assembly) wants contiguous
 // id-indexed arrays it can stream with no pointer chasing.  This module
 // lowers a validated Network exactly once into a single relocatable
 // buffer — one bump-allocated arena holding every derived array the
-// kernels consume:
+// kernels consume.  It is the only lowered form of the network: one
+// walk of the Structure tree emits the flat scan graph of Sec. III
+// (Fig. 2) straight into the arena's CSR sections:
 //
 //   * per-segment: scan length, instrument id, flags (SIB register /
 //     controls-a-mux), graph vertex, configuration depth, guard set
@@ -20,6 +22,21 @@
 //   * control-dependency graph: CSR from each segment to the muxes it
 //     addresses;
 //   * per-vertex: control-register flag, owning mux.
+//
+// Vertex numbering (S segments, M muxes, V = 2 + S + 2M vertices):
+//
+//   scan-in                     0
+//   segment s                   1 + s
+//   mux m                       1 + S + 2m
+//   fan-out stem of mux m       2 + S + 2m   (entry of its parallel
+//                                             composition)
+//   scan-out                    V - 1
+//
+// so a vertex's role follows from its id alone.  Edges are the direct
+// connectivities: every row of the forward (backward) CSR lists its
+// successors (predecessors) in the order the structure walk emits them,
+// scan-in side first.  A wire branch exits at its mux's fan-out stem,
+// so parallel wire branches give parallel fan-out -> mux edges.
 //
 // Layout: a fixed header (magic, format version, FNV-1a content
 // fingerprint, entity counts), a section table, then the 64-byte-aligned
@@ -38,6 +55,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -246,5 +264,9 @@ class FlatNetwork {
   Span<std::uint8_t> ctrlRegVertex_;
   Span<std::uint32_t> muxOfVertex_;
 };
+
+/// DOT rendering of the flat scan graph with RSN-aware shapes (segments:
+/// boxes, muxes: trapezoids, fan-outs: points, ports: ellipses).
+std::string toDot(const Network& net);
 
 }  // namespace rrsn::rsn

@@ -10,9 +10,9 @@
 //                 sub-structure per branch, closed by a scan multiplexer
 //                 (the closing reconvergence gate); branch k is selected
 //                 by address value k.
-// The flat graph view of Sec. III (Fig. 2) is derived from this structure
-// in graph_view.hpp, and the binary decomposition tree (Fig. 3) in
-// src/sp/decomposition.hpp.
+// The flat graph of Sec. III (Fig. 2) is lowered from this structure
+// straight into the FlatNetwork arena (flat.hpp), and the binary
+// decomposition tree (Fig. 3) is built in src/sp/decomposition.hpp.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,6 @@
 
 #include "fault/effects.hpp"
 #include "obs/obs.hpp"
-#include "rsn/graph_view.hpp"
 
 namespace rrsn::sim {
 
@@ -23,64 +22,72 @@ void recordAccess(const RetargetResult& res) {
   obs::sample(kRounds, res.rounds);
 }
 
-/// Edge admissibility under a set of simultaneous faults: stuck-mux
-/// edges are always enforced; broken segments' vertices are impassable
-/// unless `allowBreak`.  Shared by the BFS below and the bounded
-/// enumeration.
-struct FaultEdges {
-  std::vector<graph::VertexId> broken;
-  /// (mux vertex, only admissible predecessor) per stuck fault.
-  std::vector<std::pair<graph::VertexId, graph::VertexId>> stuck;
+using Edge = rsn::FlatNetwork::Edge;
 
-  FaultEdges(const rsn::GraphView& gv, const std::vector<fault::Fault>& faults,
-             bool allowBreak) {
+/// Edge admissibility under a set of simultaneous faults: a stuck mux
+/// admits an edge into it only if the stuck branch is in the edge's
+/// branch span (every stuck fault is checked); broken segments' vertices
+/// are impassable unless `allowBreak`.  Shared by the BFS below and the
+/// bounded enumeration.
+struct FaultEdges {
+  rsn::FlatNetwork::Span<std::uint32_t> pool;
+  std::vector<graph::VertexId> broken;
+  /// (mux, stuck branch) per stuck fault.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> stuck;
+
+  FaultEdges(const rsn::FlatNetwork& flat,
+             const std::vector<fault::Fault>& faults, bool allowBreak)
+      : pool(flat.branchPool()) {
     for (const fault::Fault& f : faults) {
       if (f.kind == fault::FaultKind::SegmentBreak) {
-        if (!allowBreak) broken.push_back(gv.segmentVertex[f.prim]);
+        if (!allowBreak) broken.push_back(flat.segmentVertex()[f.prim]);
       } else {
-        stuck.emplace_back(gv.muxVertex[f.prim],
-                           gv.muxBranchExit[f.prim][f.stuckBranch]);
+        stuck.emplace_back(f.prim, f.stuckBranch);
       }
     }
   }
 
   bool blocksVertex(graph::VertexId v) const {
-    for (graph::VertexId b : broken)
-      if (v == b) return true;
-    return false;
+    return std::find(broken.begin(), broken.end(), v) != broken.end();
   }
 
-  bool allows(graph::VertexId from, graph::VertexId to) const {
-    if (blocksVertex(from) || blocksVertex(to)) return false;
-    for (const auto& [mux, allowedExit] : stuck)
-      if (to == mux && from != allowedExit) return false;
+  /// `e` is an entry of vertex `at`'s forward or backward CSR row.
+  bool allows(graph::VertexId at, const Edge& e) const {
+    if (blocksVertex(at) || blocksVertex(e.other)) return false;
+    for (const auto& [mux, branch] : stuck) {
+      if (e.mux != mux) continue;
+      const std::uint32_t* span = pool.data();
+      if (std::find(span + e.branchBegin, span + e.branchEnd, branch) ==
+          span + e.branchEnd)
+        return false;
+    }
     return true;
   }
 };
 
-/// BFS with parent pointers between two vertices of the graph view.
+/// BFS with parent pointers between two vertices of the scan graph.
 std::optional<std::vector<graph::VertexId>> findPath(
-    const rsn::GraphView& gv, const std::vector<fault::Fault>& faults,
+    const rsn::FlatNetwork& flat, const std::vector<fault::Fault>& faults,
     graph::VertexId from, graph::VertexId to, bool allowBreak) {
-  const graph::Digraph& g = gv.graph;
-  const FaultEdges edges(gv, faults, allowBreak);
+  const FaultEdges edges(flat, faults, allowBreak);
   if (edges.blocksVertex(from) || edges.blocksVertex(to)) return std::nullopt;
 
-  std::vector<graph::VertexId> parent(g.vertexCount(), graph::kNoVertex);
-  std::vector<bool> seen(g.vertexCount(), false);
+  const auto offsets = flat.fwdOffsets();
+  const auto row = flat.fwdEdges();
+  std::vector<graph::VertexId> parent(flat.vertexCount(), graph::kNoVertex);
+  std::vector<bool> seen(flat.vertexCount(), false);
   std::queue<graph::VertexId> work;
   seen[from] = true;
   work.push(from);
   while (!work.empty() && !seen[to]) {
     const graph::VertexId v = work.front();
     work.pop();
-    for (graph::VertexId s : g.successors(v)) {
-      if (!edges.allows(v, s)) continue;
-      if (!seen[s]) {
-        seen[s] = true;
-        parent[s] = v;
-        work.push(s);
-      }
+    for (std::uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      const graph::VertexId s = row[i].other;
+      if (!edges.allows(v, row[i]) || seen[s]) continue;
+      seen[s] = true;
+      parent[s] = v;
+      work.push(s);
     }
   }
   if (!seen[to]) return std::nullopt;
@@ -99,27 +106,29 @@ std::optional<std::vector<graph::VertexId>> findPath(
 /// in deterministic successor order, shortest-ish first is NOT
 /// guaranteed — callers verify each candidate end to end anyway.
 std::vector<std::vector<graph::VertexId>> enumeratePaths(
-    const rsn::GraphView& gv, const std::vector<fault::Fault>& faults,
+    const rsn::FlatNetwork& flat, const std::vector<fault::Fault>& faults,
     graph::VertexId from, graph::VertexId to, bool allowBreak,
     std::size_t limit) {
   std::vector<std::vector<graph::VertexId>> out;
   if (limit == 0) return out;
-  const graph::Digraph& g = gv.graph;
-  const FaultEdges edges(gv, faults, allowBreak);
+  const FaultEdges edges(flat, faults, allowBreak);
   if (edges.blocksVertex(from) || edges.blocksVertex(to)) return out;
 
   // Reverse reachability: canReach[v] iff an admissible path v -> to
-  // exists.  Walking predecessor edges checks allows(pred, v).
-  std::vector<bool> canReach(g.vertexCount(), false);
+  // exists.  Walks the backward CSR, whose entries describe pred -> v.
+  std::vector<bool> canReach(flat.vertexCount(), false);
   {
+    const auto offsets = flat.bwdOffsets();
+    const auto row = flat.bwdEdges();
     std::queue<graph::VertexId> work;
     canReach[to] = true;
     work.push(to);
     while (!work.empty()) {
       const graph::VertexId v = work.front();
       work.pop();
-      for (graph::VertexId p : g.predecessors(v)) {
-        if (!edges.allows(p, v) || canReach[p]) continue;
+      for (std::uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+        const graph::VertexId p = row[i].other;
+        if (!edges.allows(v, row[i]) || canReach[p]) continue;
         canReach[p] = true;
         work.push(p);
       }
@@ -128,11 +137,13 @@ std::vector<std::vector<graph::VertexId>> enumeratePaths(
   if (!canReach[from]) return out;
 
   // Iterative DFS over admissible successors that can still reach `to`.
+  const auto offsets = flat.fwdOffsets();
+  const auto row = flat.fwdEdges();
   struct Frame {
     graph::VertexId vertex;
-    std::size_t nextSucc = 0;
+    std::uint32_t nextEdge;
   };
-  std::vector<Frame> stack{{from, 0}};
+  std::vector<Frame> stack{{from, offsets[from]}};
   std::vector<graph::VertexId> prefix{from};
   while (!stack.empty() && out.size() < limit) {
     const std::size_t idx = stack.size() - 1;  // index: push_back below
@@ -143,13 +154,12 @@ std::vector<std::vector<graph::VertexId>> enumeratePaths(
       prefix.pop_back();
       continue;
     }
-    const auto& succs = g.successors(v);
     bool descended = false;
-    while (stack[idx].nextSucc < succs.size()) {
-      const graph::VertexId s = succs[stack[idx].nextSucc++];
-      if (!edges.allows(v, s) || !canReach[s]) continue;
-      stack.push_back({s, 0});
-      prefix.push_back(s);
+    while (stack[idx].nextEdge < offsets[v + 1]) {
+      const Edge& e = row[stack[idx].nextEdge++];
+      if (!edges.allows(v, e) || !canReach[e.other]) continue;
+      stack.push_back({e.other, offsets[e.other]});
+      prefix.push_back(e.other);
       descended = true;
       break;
     }
@@ -168,33 +178,27 @@ std::vector<std::vector<graph::VertexId>> enumeratePaths(
 /// for the branch it is actually stuck at whenever that branch matches
 /// the walk (any other demand could never be realized).
 std::map<rsn::MuxId, std::uint32_t> selectionsFromPath(
-    const rsn::GraphView& gv, const std::vector<graph::VertexId>& path,
+    const rsn::FlatNetwork& flat, const std::vector<graph::VertexId>& path,
     const std::vector<fault::Fault>& faults) {
   std::map<rsn::MuxId, std::uint32_t> sel;
   for (std::size_t k = 1; k < path.size(); ++k) {
-    const graph::VertexId v = path[k];
-    for (rsn::MuxId m = 0; m < gv.muxVertex.size(); ++m) {
-      if (gv.muxVertex[m] != v) continue;
-      const graph::VertexId pred = path[k - 1];
-      const auto& exits = gv.muxBranchExit[m];
-      bool stuckMatched = false;
-      for (const fault::Fault& f : faults) {
-        if (f.kind == fault::FaultKind::MuxStuck && f.prim == m &&
-            exits[f.stuckBranch] == pred) {
-          sel[m] = f.stuckBranch;
-          stuckMatched = true;
-          break;
-        }
+    const rsn::MuxId m = flat.muxOfVertex()[path[k]];
+    if (m == rsn::kNone) continue;
+    const graph::VertexId pred = path[k - 1];
+    const std::uint32_t arity = flat.muxArity()[m];
+    const graph::VertexId* exits =
+        flat.muxBranchExit().data() + flat.muxBranchOffsets()[m];
+    std::uint32_t chosen = arity;
+    for (const fault::Fault& f : faults) {
+      if (f.kind == fault::FaultKind::MuxStuck && f.prim == m &&
+          f.stuckBranch < arity && exits[f.stuckBranch] == pred) {
+        chosen = f.stuckBranch;
+        break;
       }
-      if (stuckMatched) break;
-      for (std::uint32_t b = 0; b < exits.size(); ++b) {
-        if (exits[b] == pred) {
-          sel[m] = b;
-          break;
-        }
-      }
-      break;
     }
+    for (std::uint32_t b = 0; chosen == arity && b < arity; ++b)
+      if (exits[b] == pred) chosen = b;
+    if (chosen != arity) sel[m] = chosen;
   }
   return sel;
 }
@@ -232,43 +236,16 @@ bool replayPatterns(ScanSimulator& sim, const RetargetResult& recorded) {
   return true;
 }
 
-Retargeter::Retargeter(ScanSimulator& sim, RetargetOptions options)
-    : sim_(&sim), options_(options), gv_(rsn::buildGraphView(sim.network())) {
+Retargeter::Retargeter(ScanSimulator& sim, const rsn::FlatNetwork& flat,
+                       RetargetOptions options)
+    : sim_(&sim), flat_(&flat), options_(options) {
   const rsn::Network& net = sim.network();
+  RRSN_CHECK(flat.segmentCount() == net.segments().size() &&
+                 flat.muxCount() == net.muxes().size() &&
+                 flat.instrumentCount() == net.instruments().size(),
+             "retargeter arena is not a lowering of the simulated network");
   maxRounds_ = options_.maxRounds != 0 ? options_.maxRounds
                                        : net.stats().maxMuxNesting + 2;
-  ancestors_.assign(net.segments().size(), {});
-
-  // One DFS assigning every segment its (mux, branch) ancestor chain.
-  std::vector<std::pair<rsn::MuxId, std::uint32_t>> context;
-  const auto walk = [&](auto&& self, rsn::NodeId nodeId) -> void {
-    const auto& n = net.structure().node(nodeId);
-    switch (n.kind) {
-      case rsn::NodeKind::Wire:
-        return;
-      case rsn::NodeKind::Segment:
-        ancestors_[n.prim] = context;
-        return;
-      case rsn::NodeKind::Serial:
-        for (rsn::NodeId c : n.children) self(self, c);
-        return;
-      case rsn::NodeKind::MuxJoin:
-        for (std::uint32_t b = 0; b < n.children.size(); ++b) {
-          context.emplace_back(n.prim, b);
-          self(self, n.children[b]);
-          context.pop_back();
-        }
-        return;
-    }
-  };
-  walk(walk, net.structure().root());
-}
-
-std::map<rsn::MuxId, std::uint32_t> Retargeter::ancestorSelections(
-    rsn::SegmentId seg) const {
-  std::map<rsn::MuxId, std::uint32_t> sel;
-  for (const auto& [mux, branch] : ancestors_[seg]) sel[mux] = branch;
-  return sel;
 }
 
 RetargetResult Retargeter::realizeSelections(
@@ -344,12 +321,12 @@ namespace {
 /// Joins a prefix (scan-in -> seg) and suffix (seg -> scan-out) into the
 /// mux selections realizing the combined walk.
 std::map<rsn::MuxId, std::uint32_t> joinSelections(
-    const rsn::GraphView& gv, const std::vector<graph::VertexId>& prefix,
+    const rsn::FlatNetwork& flat, const std::vector<graph::VertexId>& prefix,
     const std::vector<graph::VertexId>& suffix,
     const std::vector<fault::Fault>& faults) {
   std::vector<graph::VertexId> whole = prefix;
   whole.insert(whole.end(), suffix.begin() + 1, suffix.end());
-  return selectionsFromPath(gv, whole, faults);
+  return selectionsFromPath(flat, whole, faults);
 }
 
 bool containsBreak(const std::vector<fault::Fault>& faults) {
@@ -376,13 +353,13 @@ bool breaksSegment(const std::vector<fault::Fault>& faults,
 /// flavor (tolerable on the scan-out side).  Duplicates of earlier
 /// entries are dropped, and the total is capped at 1 + maxReroutes.
 static std::vector<std::pair<std::map<rsn::MuxId, std::uint32_t>, bool>>
-candidateSelections(const rsn::GraphView& gv,
+candidateSelections(const rsn::FlatNetwork& flat,
                     const std::vector<fault::Fault>& faults,
                     rsn::SegmentId seg, bool breakBeforeSegTolerable,
                     const RetargetOptions& options) {
   using Selections = std::map<rsn::MuxId, std::uint32_t>;
   std::vector<std::pair<Selections, bool>> out;  // (selections, rerouted)
-  const graph::VertexId segV = gv.segmentVertex[seg];
+  const graph::VertexId segV = flat.segmentVertex()[seg];
 
   const auto push = [&](Selections sel, bool rerouted) {
     for (const auto& [existing, r] : out)
@@ -393,10 +370,10 @@ candidateSelections(const rsn::GraphView& gv,
   // Nominal: shortest path ignoring the faults (selections derived
   // fault-unaware too — this is the recipe of an oblivious controller).
   {
-    const auto prefix = findPath(gv, {}, gv.scanIn, segV, false);
-    const auto suffix = findPath(gv, {}, segV, gv.scanOut, false);
+    const auto prefix = findPath(flat, {}, flat.scanIn(), segV, false);
+    const auto suffix = findPath(flat, {}, segV, flat.scanOut(), false);
     if (prefix && suffix)
-      push(joinSelections(gv, *prefix, *suffix, {}), false);
+      push(joinSelections(flat, *prefix, *suffix, {}), false);
   }
 
   if (faults.empty() || !options.allowReroute || options.maxReroutes == 0)
@@ -411,14 +388,14 @@ candidateSelections(const rsn::GraphView& gv,
     if (tolerateBreak && !containsBreak(faults)) break;
     const bool allowPrefixBreak = tolerateBreak && breakBeforeSegTolerable;
     const bool allowSuffixBreak = tolerateBreak && !breakBeforeSegTolerable;
-    const auto prefixes =
-        enumeratePaths(gv, faults, gv.scanIn, segV, allowPrefixBreak, cap);
-    const auto suffixes =
-        enumeratePaths(gv, faults, segV, gv.scanOut, allowSuffixBreak, cap);
+    const auto prefixes = enumeratePaths(flat, faults, flat.scanIn(), segV,
+                                         allowPrefixBreak, cap);
+    const auto suffixes = enumeratePaths(flat, faults, segV, flat.scanOut(),
+                                         allowSuffixBreak, cap);
     for (const auto& prefix : prefixes) {
       for (const auto& suffix : suffixes) {
         if (out.size() > cap) return out;  // entry 0 is the nominal recipe
-        push(joinSelections(gv, prefix, suffix, faults), true);
+        push(joinSelections(flat, prefix, suffix, faults), true);
       }
     }
   }
@@ -441,7 +418,7 @@ RetargetResult Retargeter::readInstrument(rsn::InstrumentId i) {
   // scan-in side only shifts garbage in behind the marker.
   bool first = true;
   for (const auto& [selections, rerouted] : candidateSelections(
-           gv_, faults, seg, /*breakBeforeSegTolerable=*/true, options_)) {
+           *flat_, faults, seg, /*breakBeforeSegTolerable=*/true, options_)) {
     // A failed attempt can leave X in address registers (a shift across
     // a broken segment poisons everything downstream, including SIB
     // registers that sit behind their content), with no scan-accessible
@@ -508,7 +485,7 @@ RetargetResult Retargeter::writeInstrument(rsn::InstrumentId i,
   // As in readInstrument, each candidate recipe starts from power-on.
   bool first = true;
   for (const auto& [selections, rerouted] : candidateSelections(
-           gv_, faults, seg, /*breakBeforeSegTolerable=*/false, options_)) {
+           *flat_, faults, seg, /*breakBeforeSegTolerable=*/false, options_)) {
     if (!first) {
       sim_->reset();
       sim_->injectFaults(faults);
@@ -555,17 +532,18 @@ AccessReport strictAccessibility(const rsn::Network& net,
   const std::size_t n = net.instruments().size();
   report.observable = DynamicBitset(n);
   report.settable = DynamicBitset(n);
+  const auto flat = rsn::FlatNetwork::lower(net);
   for (rsn::InstrumentId i = 0; i < n; ++i) {
     {
       ScanSimulator sim(net);
       if (f != nullptr) sim.injectFault(*f);
-      Retargeter rt(sim);
+      Retargeter rt(sim, *flat);
       if (rt.readInstrument(i).success) report.observable.set(i);
     }
     {
       ScanSimulator sim(net);
       if (f != nullptr) sim.injectFault(*f);
-      Retargeter rt(sim);
+      Retargeter rt(sim, *flat);
       const auto marker =
           accessMarker(net.segment(net.instrument(i).segment).length);
       if (rt.writeInstrument(i, marker).success) report.settable.set(i);
@@ -574,17 +552,16 @@ AccessReport strictAccessibility(const rsn::Network& net,
   return report;
 }
 
-AccessReport structuralAccessibility(const rsn::Network& net,
+AccessReport structuralAccessibility(const rsn::FlatNetwork& flat,
                                      const fault::Fault* f) {
   AccessReport report;
-  const std::size_t n = net.instruments().size();
+  const std::size_t n = flat.instrumentCount();
   report.observable = DynamicBitset(n);
   report.settable = DynamicBitset(n);
   report.observable.setAll();
   report.settable.setAll();
   if (f != nullptr) {
-    const rsn::GraphView gv = rsn::buildGraphView(net);
-    const auto loss = fault::lossUnderFaultGraph(net, gv, *f);
+    const auto loss = fault::lossUnderFaultGraph(flat, *f);
     loss.unobservable.forEachSet(
         [&](std::size_t i) { report.observable.reset(i); });
     loss.unsettable.forEachSet(

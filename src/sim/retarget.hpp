@@ -10,11 +10,16 @@
 // RSN end to end.  This is stronger than the paper's structural analysis
 // (which assumes control bits can always be applied); the
 // bench_control_dependency ablation quantifies the difference.
+//
+// The engine only *proposes* recipes: it searches scan paths over the
+// lowered network (the FlatNetwork arena's guarded CSR) and turns them
+// into mux selections.  Whether a recipe works is decided by executing
+// it on the simulator, which models the Structure tree independently.
 #pragma once
 
 #include <map>
 
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "sim/simulator.hpp"
 #include "support/bitset.hpp"
 
@@ -68,10 +73,14 @@ std::vector<Bit> accessMarker(std::uint32_t length);
 /// same access patterns as the initial unhardened RSN").
 bool replayPatterns(ScanSimulator& sim, const RetargetResult& recorded);
 
-/// Retargeting engine bound to one simulator instance.
+/// Retargeting engine bound to one simulator instance.  `flat` must be
+/// the lowering of sim.network(); the engine keeps a reference, so the
+/// arena must outlive it.  One arena can serve any number of engines,
+/// also concurrently (it is read-only).
 class Retargeter {
  public:
-  explicit Retargeter(ScanSimulator& sim, RetargetOptions options = {});
+  Retargeter(ScanSimulator& sim, const rsn::FlatNetwork& flat,
+             RetargetOptions options = {});
 
   /// Steers the given mux selections (segment-controlled muxes through
   /// CSU rounds, TAP-controlled ones directly).  Selections of muxes not
@@ -91,18 +100,11 @@ class Retargeter {
                                  const std::vector<Bit>& value);
 
  private:
-  /// Mux selections steering the structural path onto `seg`
-  /// (its MuxJoin ancestors), or selections from a concrete graph path.
-  std::map<rsn::MuxId, std::uint32_t> ancestorSelections(
-      rsn::SegmentId seg) const;
-
   ScanSimulator* sim_;
+  /// The topology never changes under a fault, so the arena is shared.
+  const rsn::FlatNetwork* flat_;
   RetargetOptions options_;
   std::size_t maxRounds_;
-  /// Built once per engine; the topology never changes under a fault.
-  rsn::GraphView gv_;
-  /// ancestors_[seg] = (mux, branch) chain from outermost to innermost.
-  std::vector<std::vector<std::pair<rsn::MuxId, std::uint32_t>>> ancestors_;
 };
 
 /// Per-instrument accessibility under an optional fault.
@@ -115,12 +117,13 @@ struct AccessReport {
 /// per instrument on a freshly reset simulator with `f` injected
 /// (nullptr: fault-free).  Exponentially safer but linear-time slower
 /// than the structural analysis; intended for small/medium networks.
+/// Lowers `net` once per call.
 AccessReport strictAccessibility(const rsn::Network& net,
                                  const fault::Fault* f);
 
 /// Structural accessibility from the flat-graph oracle (the paper's
 /// semantics): complements fault::lossUnderFaultGraph.
-AccessReport structuralAccessibility(const rsn::Network& net,
+AccessReport structuralAccessibility(const rsn::FlatNetwork& flat,
                                      const fault::Fault* f);
 
 }  // namespace rrsn::sim

@@ -103,6 +103,16 @@ std::vector<VertexId> reduceToCore(ReduceGraph& rg, VertexId source,
 
 }  // namespace
 
+Digraph digraphOf(const rsn::FlatNetwork& flat) {
+  Digraph g;
+  for (std::size_t v = 0; v < flat.vertexCount(); ++v) g.addVertex();
+  for (VertexId v = 0; v < flat.vertexCount(); ++v)
+    for (std::uint32_t e = flat.fwdOffsets()[v]; e < flat.fwdOffsets()[v + 1];
+         ++e)
+      g.addEdge(v, flat.fwdEdges()[e].other);
+  return g;
+}
+
 SpCheck checkSeriesParallel(const Digraph& g, VertexId source, VertexId sink) {
   RRSN_CHECK(graph::isTwoTerminalDag(g, source, sink),
              "SP check requires a two-terminal DAG");

@@ -14,8 +14,14 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "rsn/flat.hpp"
 
 namespace rrsn::sp {
+
+/// The flat scan graph of a lowered network as a Digraph: one vertex per
+/// arena vertex (same ids, unlabeled) and the forward CSR's edges in row
+/// order.  The source is flat.scanIn(), the sink flat.scanOut().
+graph::Digraph digraphOf(const rsn::FlatNetwork& flat);
 
 /// Result of an SP reduction run.
 struct SpCheck {

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "benchgen/registry.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "sp/decomposition.hpp"
 #include "sp/sp_reduce.hpp"
 
@@ -74,8 +74,9 @@ TEST(Generators, SmallNetworksAreSeriesParallel) {
   for (const char* name : {"TreeFlat", "TreeUnbalanced", "TreeBalanced",
                            "TreeFlat_Ex", "q12710", "a586710", "MBIST_1_5_5"}) {
     const rsn::Network net = buildBenchmark(name);
-    const rsn::GraphView gv = rsn::buildGraphView(net);
-    EXPECT_TRUE(sp::checkSeriesParallel(gv.graph, gv.scanIn, gv.scanOut)
+    const auto flat = rsn::FlatNetwork::lower(net);
+    EXPECT_TRUE(sp::checkSeriesParallel(sp::digraphOf(*flat), flat->scanIn(),
+                                        flat->scanOut())
                     .isSeriesParallel)
         << name;
   }

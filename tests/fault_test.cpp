@@ -3,7 +3,7 @@
 #include "fault/effects.hpp"
 #include "fault/fault.hpp"
 #include "rsn/example_networks.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "test_util.hpp"
 
 namespace rrsn::fault {
@@ -150,11 +150,11 @@ TEST(FaultEffects, TreeAndGraphOraclesAgreeOnFig1) {
   const auto spec = rsn::makeFig1Spec(net);
   sp::DecompositionTree tree = sp::DecompositionTree::build(net);
   tree.annotate(spec);
-  const rsn::GraphView gv = rsn::buildGraphView(net);
+  const auto flat = rsn::FlatNetwork::lower(net);
   const FaultUniverse universe(net);
   for (const Fault& f : universe.faults()) {
     const auto t = lossUnderFaultTree(tree, f);
-    const auto g = lossUnderFaultGraph(net, gv, f);
+    const auto g = lossUnderFaultGraph(*flat, f);
     EXPECT_EQ(t.unobservable, g.unobservable) << describe(net, f);
     EXPECT_EQ(t.unsettable, g.unsettable) << describe(net, f);
     EXPECT_EQ(damageUnderFaultTree(tree, f), damageOfLoss(spec, t))
@@ -173,11 +173,11 @@ TEST_P(FaultOracleEquivalence, TreeMatchesGraph) {
   const auto spec = test::randomSpecFor(net, rng);
   sp::DecompositionTree tree = sp::DecompositionTree::build(net);
   tree.annotate(spec);
-  const rsn::GraphView gv = rsn::buildGraphView(net);
+  const auto flat = rsn::FlatNetwork::lower(net);
   const FaultUniverse universe(net);
   for (const Fault& f : universe.faults()) {
     const auto t = lossUnderFaultTree(tree, f);
-    const auto g = lossUnderFaultGraph(net, gv, f);
+    const auto g = lossUnderFaultGraph(*flat, f);
     ASSERT_EQ(t.unobservable, g.unobservable)
         << net.name() << " seed=" << GetParam() << " " << describe(net, f);
     ASSERT_EQ(t.unsettable, g.unsettable)

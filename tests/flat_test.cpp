@@ -1,14 +1,19 @@
-// FlatNetwork: the arena-backed SoA view every hot consumer shares.
-// Covers the lowering against independent pointer-model recomputation,
-// serialization round-trips (byte-determinism at any thread count),
-// typed-Status rejection of corrupt/foreign buffers, the campaign's
-// flatten-once contract and engine equivalence on a reloaded arena.
+// FlatNetwork: the arena-backed SoA view every graph walk shares.
+// Covers the lowering (pinned fingerprints plus structural invariants
+// of the documented vertex numbering), serialization round-trips
+// (byte-determinism at any thread count), typed-Status rejection of
+// corrupt/foreign buffers, the campaign's flatten-once contract and
+// engine equivalence on a reloaded arena.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
+#include <tuple>
 #include <vector>
 
+#include "benchgen/generators.hpp"
+#include "benchgen/registry.hpp"
 #include "campaign/campaign.hpp"
 #include "diag/batched.hpp"
 #include "diag/diagnosis.hpp"
@@ -16,7 +21,8 @@
 #include "obs/obs.hpp"
 #include "rsn/example_networks.hpp"
 #include "rsn/flat.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/netlist_io.hpp"
+#include "sp/sp_reduce.hpp"
 #include "support/parallel.hpp"
 #include "test_util.hpp"
 
@@ -36,60 +42,123 @@ std::uint64_t counterValue(const obs::Snapshot& snap, const std::string& name) {
   return 0;
 }
 
-TEST(FlatNetwork, LowerMatchesPointerModel) {
+// The arena is a published format (.rrsnflat files, daemon caches):
+// these fingerprints pin the lowering of a fixed corpus byte for byte.
+TEST(FlatNetwork, LoweringMatchesPinnedFingerprints) {
+  const auto fingerprintOf = [](const Network& net) {
+    return FlatNetwork::lower(net)->fingerprint();
+  };
+  const auto fileFingerprint = [&](const std::string& file) {
+    std::ifstream is(std::string(RRSN_EXAMPLES_DIR) + "/" + file);
+    EXPECT_TRUE(is.good()) << file;
+    return fingerprintOf(parseNetlist(is));
+  };
+  EXPECT_EQ(fingerprintOf(makeFig1Network()), 0xf6629f4c8f038a6bULL);
+  EXPECT_EQ(fingerprintOf(makeTinyNetwork()), 0x23d319ef8428238eULL);
+  EXPECT_EQ(fileFingerprint("fig1.rsn"), 0xf6629f4c8f038a6bULL);
+  EXPECT_EQ(fileFingerprint("q12710.rsn"), 0xda4c35169ce381d5ULL);
+  EXPECT_EQ(fileFingerprint("tiny.rsn"), 0x23d319ef8428238eULL);
+  EXPECT_EQ(fileFingerprint("treeflat.rsn"), 0x48cf9ddba53662feULL);
+  EXPECT_EQ(fingerprintOf(benchgen::buildBenchmark("p93791")),
+            0x9adef51705bbe653ULL);
+  EXPECT_EQ(fingerprintOf(benchgen::buildBenchmark("MBIST_1_5_20")),
+            0x6652388c4ed861cbULL);
+  EXPECT_EQ(fingerprintOf(benchgen::buildBenchmark("TreeUnbalanced")),
+            0x7ea7a1283a8ee904ULL);
+  EXPECT_EQ(fingerprintOf(benchgen::makeSoc("SOC_2000", 2000, 1052)),
+            0x13534fe89a3012deULL);
+  EXPECT_EQ(fingerprintOf(benchgen::makeHuge("HUGE_4096", 4096, 512, 16)),
+            0x31267885b64c83a4ULL);
+}
+
+TEST(FlatNetwork, LoweringInvariantsOnRandomNetworks) {
   Rng rng(3);
   for (int round = 0; round < 8; ++round) {
     const Network net = test::randomNetwork(rng);
-    const GraphView gv = buildGraphView(net);
     const auto flat = FlatNetwork::lower(net);
+    const std::size_t S = net.segments().size();
+    const std::size_t M = net.muxes().size();
 
-    ASSERT_EQ(flat->segmentCount(), net.segments().size());
-    ASSERT_EQ(flat->muxCount(), net.muxes().size());
+    ASSERT_EQ(flat->segmentCount(), S);
+    ASSERT_EQ(flat->muxCount(), M);
     ASSERT_EQ(flat->instrumentCount(), net.instruments().size());
-    ASSERT_EQ(flat->vertexCount(), gv.graph.vertexCount());
-    EXPECT_EQ(flat->scanIn(), gv.scanIn);
-    EXPECT_EQ(flat->scanOut(), gv.scanOut);
 
-    for (SegmentId s = 0; s < net.segments().size(); ++s) {
+    // The vertex numbering documented in flat.hpp.
+    const std::size_t V = flat->vertexCount();
+    ASSERT_EQ(V, 2 + S + 2 * M);
+    EXPECT_EQ(flat->scanIn(), 0u);
+    EXPECT_EQ(flat->scanOut(), V - 1);
+    for (SegmentId s = 0; s < S; ++s) {
       EXPECT_EQ(flat->segLength()[s], net.segment(s).length);
       EXPECT_EQ(flat->segInstrument()[s], net.segment(s).instrument);
       EXPECT_EQ((flat->segFlags()[s] & FlatNetwork::kSegFlagSib) != 0,
                 net.segment(s).isSibRegister);
-      EXPECT_EQ(flat->segmentVertex()[s], gv.segmentVertex[s]);
+      EXPECT_EQ(flat->segmentVertex()[s], 1 + s);
     }
-    for (MuxId m = 0; m < net.muxes().size(); ++m) {
+    for (MuxId m = 0; m < M; ++m) {
       EXPECT_EQ(flat->muxControl()[m], net.mux(m).controlSegment);
-      EXPECT_EQ(flat->muxVertex()[m], gv.muxVertex[m]);
+      EXPECT_EQ(flat->muxVertex()[m], 1 + S + 2 * m);
+      EXPECT_EQ(flat->muxOfVertex()[flat->muxVertex()[m]], m);
       if (flat->muxControl()[m] != kNone) {
         EXPECT_EQ(flat->muxCtrlVertex()[m],
                   flat->segmentVertex()[flat->muxControl()[m]]);
       }
-      // Branch CSR row m reproduces the GraphView's per-mux exit list.
+      // Branch b's exit feeds the mux through an edge whose branch span
+      // names b; a wire branch exits at the mux's fan-out stem.
       const auto begin = flat->muxBranchOffsets()[m];
       const auto end = flat->muxBranchOffsets()[m + 1];
-      ASSERT_EQ(end - begin, gv.muxBranchExit[m].size());
-      for (std::uint64_t b = begin; b < end; ++b)
-        EXPECT_EQ(flat->muxBranchExit()[b], gv.muxBranchExit[m][b - begin]);
+      ASSERT_EQ(end - begin, flat->muxArity()[m]);
+      for (std::uint32_t b = 0; b < end - begin; ++b) {
+        const graph::VertexId exit = flat->muxBranchExit()[begin + b];
+        bool spanned = false;
+        for (std::uint32_t e = flat->fwdOffsets()[exit];
+             e < flat->fwdOffsets()[exit + 1]; ++e) {
+          const FlatNetwork::Edge& edge = flat->fwdEdges()[e];
+          if (edge.other != flat->muxVertex()[m]) continue;
+          EXPECT_EQ(edge.mux, m);
+          for (std::uint32_t k = edge.branchBegin; k < edge.branchEnd; ++k)
+            spanned |= flat->branchPool()[k] == b;
+        }
+        EXPECT_TRUE(spanned) << "mux " << m << " branch " << b;
+      }
     }
-    for (InstrumentId i = 0; i < net.instruments().size(); ++i)
+    for (graph::VertexId v = 0; v < V; ++v) {
+      const bool isMux = v > S && v + 1 < V && (v - 1 - S) % 2 == 0;
+      EXPECT_EQ(flat->muxOfVertex()[v] != kNone, isMux) << "vertex " << v;
+    }
+    for (InstrumentId i = 0; i < net.instruments().size(); ++i) {
       EXPECT_EQ(flat->instrumentSegment()[i], net.instrument(i).segment);
-
-    // Forward CSR adjacency == the Digraph's successor lists, row for
-    // row (same construction order as graph::buildCsr).
-    ASSERT_EQ(flat->fwdOffsets().size(), gv.graph.vertexCount() + 1);
-    for (graph::VertexId v = 0; v < gv.graph.vertexCount(); ++v) {
-      const auto& succ = gv.graph.successors(v);
-      const auto begin = flat->fwdOffsets()[v];
-      const auto end = flat->fwdOffsets()[v + 1];
-      ASSERT_EQ(end - begin, succ.size()) << "vertex " << v;
-      std::vector<graph::VertexId> got;
-      for (std::uint64_t e = begin; e < end; ++e)
-        got.push_back(flat->fwdEdges()[e].other);
-      std::vector<graph::VertexId> want = succ;
-      std::sort(got.begin(), got.end());
-      std::sort(want.begin(), want.end());
-      EXPECT_EQ(got, want) << "vertex " << v;
+      EXPECT_EQ(flat->instrumentVertex()[i],
+                flat->segmentVertex()[net.instrument(i).segment]);
     }
+
+    // The backward CSR is the transpose of the forward CSR, annotations
+    // included (an entry describes the original edge from either side).
+    using Arc = std::tuple<graph::VertexId, graph::VertexId, std::uint32_t,
+                           std::vector<std::uint32_t>>;
+    const auto arcsOf = [&](bool forward) {
+      const auto offsets = forward ? flat->fwdOffsets() : flat->bwdOffsets();
+      const auto edges = forward ? flat->fwdEdges() : flat->bwdEdges();
+      std::vector<Arc> arcs;
+      for (graph::VertexId v = 0; v < V; ++v) {
+        for (std::uint32_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+          const FlatNetwork::Edge& edge = edges[e];
+          std::vector<std::uint32_t> span(
+              flat->branchPool().begin() + edge.branchBegin,
+              flat->branchPool().begin() + edge.branchEnd);
+          arcs.emplace_back(forward ? v : edge.other,
+                            forward ? edge.other : v, edge.mux,
+                            std::move(span));
+        }
+      }
+      std::sort(arcs.begin(), arcs.end());
+      return arcs;
+    };
+    EXPECT_EQ(arcsOf(true), arcsOf(false));
+
+    // The sp helper's graph is a two-terminal DAG between the ports.
+    EXPECT_TRUE(graph::isTwoTerminalDag(sp::digraphOf(*flat), flat->scanIn(),
+                                        flat->scanOut()));
   }
 }
 

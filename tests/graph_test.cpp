@@ -117,17 +117,5 @@ TEST(Digraph, TwoTerminalDagChecks) {
   EXPECT_FALSE(isTwoTerminalDag(h, x, y));
 }
 
-TEST(Digraph, DotOutputContainsVerticesAndEdges) {
-  VertexId s, a, b, t;
-  const Digraph g = diamond(s, a, b, t);
-  const std::string dot = toDot(g, "demo");
-  EXPECT_NE(dot.find("digraph \"demo\""), std::string::npos);
-  EXPECT_NE(dot.find("\"a\""), std::string::npos);
-  EXPECT_NE(dot.find("n0 -> n1"), std::string::npos);
-  const std::string withAttrs =
-      toDot(g, "demo", [](VertexId) { return std::string("shape=box"); });
-  EXPECT_NE(withAttrs.find("shape=box"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace rrsn::graph

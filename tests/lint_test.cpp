@@ -18,6 +18,7 @@
 #include "crit/analyzer.hpp"
 #include "lint/lint.hpp"
 #include "rsn/builder.hpp"
+#include "rsn/flat.hpp"
 #include "rsn/spec.hpp"
 #include "support/json.hpp"
 #include "test_util.hpp"
@@ -258,6 +259,139 @@ TEST(LintRules, PlanNamesResolveAgainstThePrimitiveTable) {
   std::istringstream plan("# hardened set\n  c  \n\nno_such_register\n");
   EXPECT_EQ(lint::readPlanNames(plan),
             (std::vector<std::string>{"c", "no_such_register"}));
+}
+
+// ------------------------------------------- reachability property
+
+/// Random network whose muxes are steered by random earlier segments.
+/// 1- and 2-bit registers on muxes of up to five branches leave some
+/// branches unaddressable, and registers nested in other muxes'
+/// non-reset branches need several fixpoint rounds.  Segments created
+/// before a mux lie outside its branches, so the model always validates
+/// (and its control dependencies are acyclic).
+rsn::Network narrowControlNetwork(Rng& rng) {
+  rsn::NetworkBuilder b("narrow");
+  std::vector<std::string> segments;
+  const auto segment = [&] {
+    const std::string name = "s" + std::to_string(segments.size());
+    segments.push_back(name);
+    return b.segment(name, static_cast<std::uint32_t>(rng.range(1, 2)));
+  };
+  std::size_t muxes = 0;
+  const auto unit = [&](auto&& self, int depth) -> rsn::NodeId {
+    if (depth > 3 || !rng.chance(0.65)) return segment();
+    const std::size_t earlier = segments.size();
+    const auto arity = static_cast<std::size_t>(rng.range(2, 5));
+    const std::size_t content = rng.below(arity);
+    std::vector<rsn::NodeId> branches;
+    for (std::size_t k = 0; k < arity; ++k)
+      branches.push_back(k != content && rng.chance(0.3)
+                             ? b.wire()
+                             : self(self, depth + 1));
+    std::string ctrl;
+    if (earlier > 0 && rng.chance(0.8)) ctrl = segments[rng.below(earlier)];
+    return b.mux("m" + std::to_string(muxes++), std::move(branches), ctrl);
+  };
+  std::vector<rsn::NodeId> top;
+  for (std::int64_t k = rng.range(2, 4); k > 0; --k)
+    top.push_back(unit(unit, 0));
+  b.setTop(b.chain(std::move(top)));
+  return b.build();
+}
+
+/// The reference struct.unreachable algorithm: the growing steerability
+/// fixpoint, deciding each round by a forward sweep from scan-in and a
+/// backward sweep from scan-out over the arena's guarded CSR.  An edge
+/// into a mux is usable iff some branch of its span is steerable.
+std::set<std::string> referenceUnreachable(const rsn::Network& net) {
+  const auto flat = rsn::FlatNetwork::lower(net);
+  const std::size_t M = flat->muxCount();
+  const std::size_t V = flat->vertexCount();
+  const auto addressable = [&](std::size_t m, std::size_t b) {
+    const std::uint32_t ctrl = flat->muxControl()[m];
+    if (ctrl == rsn::kNone) return true;
+    const std::uint32_t len = flat->segLength()[ctrl];
+    return len >= 32 || b < (std::size_t{1} << len);
+  };
+  std::vector<std::vector<char>> steer(M);
+  for (std::size_t m = 0; m < M; ++m) {
+    steer[m].assign(flat->muxArity()[m], 0);
+    for (std::size_t b = 0; b < steer[m].size(); ++b)
+      steer[m][b] = addressable(m, b) &&
+                    (b == 0 || flat->muxControl()[m] == rsn::kNone);
+  }
+  const auto usable = [&](const rsn::FlatNetwork::Edge& e) {
+    if (e.mux == rsn::kNone) return true;
+    for (std::uint32_t k = e.branchBegin; k < e.branchEnd; ++k)
+      if (steer[e.mux][flat->branchPool()[k]] != 0) return true;
+    return false;
+  };
+  const auto sweep = [&](graph::VertexId start, bool forward) {
+    const auto offsets = forward ? flat->fwdOffsets() : flat->bwdOffsets();
+    const auto edges = forward ? flat->fwdEdges() : flat->bwdEdges();
+    std::vector<char> seen(V, 0);
+    std::vector<graph::VertexId> stack{start};
+    seen[start] = 1;
+    while (!stack.empty()) {
+      const graph::VertexId u = stack.back();
+      stack.pop_back();
+      for (std::uint32_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+        if (seen[edges[i].other] != 0 || !usable(edges[i])) continue;
+        seen[edges[i].other] = 1;
+        stack.push_back(edges[i].other);
+      }
+    }
+    return seen;
+  };
+  std::vector<char> fwd, bwd;
+  for (bool changed = true; changed;) {
+    fwd = sweep(flat->scanIn(), true);
+    bwd = sweep(flat->scanOut(), false);
+    changed = false;
+    for (std::size_t m = 0; m < M; ++m) {
+      const std::uint32_t ctrl = flat->muxControl()[m];
+      if (ctrl == rsn::kNone) continue;
+      const graph::VertexId cv = flat->segmentVertex()[ctrl];
+      if (fwd[cv] == 0 || bwd[cv] == 0) continue;
+      for (std::size_t b = 0; b < steer[m].size(); ++b) {
+        if (steer[m][b] == 0 && addressable(m, b)) {
+          steer[m][b] = 1;
+          changed = true;
+        }
+      }
+    }
+  }
+  std::set<std::string> out;
+  for (std::size_t s = 0; s < flat->segmentCount(); ++s) {
+    const graph::VertexId sv = flat->segmentVertex()[s];
+    if (fwd[sv] == 0 || bwd[sv] == 0)
+      out.insert(net.segment(static_cast<rsn::SegmentId>(s)).name);
+  }
+  return out;
+}
+
+std::set<std::string> unreachableSubjects(const lint::LintResult& r) {
+  std::set<std::string> out;
+  for (const auto& f : r.findings)
+    if (f.ruleId == "struct.unreachable") out.insert(f.subject);
+  return out;
+}
+
+TEST(LintReachability, StructureWalkMatchesGraphFixpoint) {
+  Rng rng(2022);
+  std::size_t withUnreachable = 0;
+  constexpr int kNetworks = 300;
+  for (int k = 0; k < kNetworks; ++k) {
+    const rsn::Network net = narrowControlNetwork(rng);
+    const auto expected = referenceUnreachable(net);
+    lint::LintOptions errorsOnly;
+    errorsOnly.errorsOnly = true;
+    EXPECT_EQ(unreachableSubjects(lint::runLint(net, errorsOnly)), expected)
+        << "network " << k << "\n" << rsn::netlistToString(net);
+    if (!expected.empty()) ++withUnreachable;
+  }
+  // The generator must exercise the rule, not just clean networks.
+  EXPECT_GE(withUnreachable, static_cast<std::size_t>(kNetworks / 10));
 }
 
 // ------------------------------------------------ source-line anchors

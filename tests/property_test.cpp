@@ -13,7 +13,6 @@
 #include "graph/digraph.hpp"
 #include "lint/lint.hpp"
 #include "rsn/flat.hpp"
-#include "rsn/graph_view.hpp"
 #include "rsn/spec.hpp"
 #include "sim/simulator.hpp"
 #include "sp/decomposition.hpp"

@@ -4,9 +4,10 @@
 
 #include "rsn/builder.hpp"
 #include "rsn/example_networks.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "rsn/netlist_io.hpp"
 #include "rsn/spec.hpp"
+#include "sp/sp_reduce.hpp"
 #include "test_util.hpp"
 
 namespace rrsn::rsn {
@@ -107,54 +108,78 @@ TEST(Builder, MuxNeedsTwoBranches) {
   EXPECT_THROW(b.mux("m", {s}), Error);
 }
 
-// ------------------------------------------------------------ graph view
+// ------------------------------------------------------------ scan graph
 
-TEST(GraphView, Fig1GraphIsTwoTerminalDag) {
+TEST(ScanGraph, Fig1GraphIsTwoTerminalDag) {
   const Network net = makeFig1Network();
-  const GraphView gv = buildGraphView(net);
+  const auto flat = FlatNetwork::lower(net);
   // SI + SO + 7 segments + 4 muxes + 4 fan-outs = 17 vertices.
-  EXPECT_EQ(gv.graph.vertexCount(), 17u);
-  EXPECT_TRUE(
-      graph::isTwoTerminalDag(gv.graph, gv.scanIn, gv.scanOut));
+  EXPECT_EQ(flat->vertexCount(), 17u);
+  EXPECT_TRUE(graph::isTwoTerminalDag(sp::digraphOf(*flat), flat->scanIn(),
+                                      flat->scanOut()));
 }
 
-TEST(GraphView, PaperFactM0DominatesC2) {
+TEST(ScanGraph, PaperFactM0DominatesC2) {
   // Sec. III: "Since all the paths through the segment c2 traverse the
   // multiplexer m0, then m0 dominates c2" — on the reversed graph (data
   // flows toward scan-out), i.e. m0 post-dominates c2.
   const Network net = makeFig1Network();
-  const GraphView gv = buildGraphView(net);
+  const auto flat = FlatNetwork::lower(net);
+  const graph::Digraph g = sp::digraphOf(*flat);
   graph::Digraph rev;
-  for (graph::VertexId v = 0; v < gv.graph.vertexCount(); ++v)
-    rev.addVertex(gv.graph.label(v));
-  for (graph::VertexId v = 0; v < gv.graph.vertexCount(); ++v)
-    for (graph::VertexId s : gv.graph.successors(v)) rev.addEdge(s, v);
-  const auto ipdom = graph::immediateDominators(rev, gv.scanOut);
-  const auto c2 = gv.segmentVertex[net.findSegment("c2")];
-  const auto m0 = gv.muxVertex[net.findMux("m0")];
-  const auto m1 = gv.muxVertex[net.findMux("m1")];
-  const auto m2 = gv.muxVertex[net.findMux("m2")];
+  for (graph::VertexId v = 0; v < g.vertexCount(); ++v)
+    rev.addVertex(g.label(v));
+  for (graph::VertexId v = 0; v < g.vertexCount(); ++v)
+    for (graph::VertexId s : g.successors(v)) rev.addEdge(s, v);
+  const auto ipdom = graph::immediateDominators(rev, flat->scanOut());
+  const auto c2 = flat->segmentVertex()[net.findSegment("c2")];
+  const auto m0 = flat->muxVertex()[net.findMux("m0")];
+  const auto m1 = flat->muxVertex()[net.findMux("m1")];
+  const auto m2 = flat->muxVertex()[net.findMux("m2")];
   EXPECT_TRUE(graph::dominates(ipdom, m0, c2));
   // "The multiplexer m2 dominates m1":
   EXPECT_TRUE(graph::dominates(ipdom, m2, m1));
 }
 
-TEST(GraphView, MuxBranchExitsRecorded) {
+TEST(ScanGraph, MuxBranchExitsRecorded) {
   const Network net = makeFig1Network();
-  const GraphView gv = buildGraphView(net);
+  const auto flat = FlatNetwork::lower(net);
   const MuxId m0 = net.findMux("m0");
-  ASSERT_EQ(gv.muxBranchExit[m0].size(), 2u);
-  // Branch 0 exits at c2, branch 1 (bypass wire) at the fan-out.
-  EXPECT_EQ(gv.muxBranchExit[m0][0], gv.segmentVertex[net.findSegment("c2")]);
-  EXPECT_EQ(gv.muxBranchExit[m0][1], gv.fanoutVertex[m0]);
+  const auto begin = flat->muxBranchOffsets()[m0];
+  ASSERT_EQ(flat->muxBranchOffsets()[m0 + 1] - begin, 2u);
+  // Branch 0 exits at c2, branch 1 (bypass wire) at the fan-out stem,
+  // which the numbering places right after the mux vertex.
+  EXPECT_EQ(flat->muxBranchExit()[begin],
+            flat->segmentVertex()[net.findSegment("c2")]);
+  EXPECT_EQ(flat->muxBranchExit()[begin + 1], flat->muxVertex()[m0] + 1);
 }
 
-TEST(GraphView, DotContainsShapes) {
+TEST(ScanGraph, DotContainsShapes) {
   const Network net = makeTinyNetwork();
   const std::string dot = toDot(net);
   EXPECT_NE(dot.find("shape=box"), std::string::npos);
   EXPECT_NE(dot.find("shape=trapezium"), std::string::npos);
   EXPECT_NE(dot.find("shape=ellipse"), std::string::npos);
+  // The whole rendering: quoted names, vertex roles from the numbering,
+  // and the forward CSR's edges in row order.
+  EXPECT_EQ(dot,
+            "digraph \"tiny\" {\n"
+            "  rankdir=LR;\n"
+            "  n0 [label=\"SI\",shape=ellipse];\n"
+            "  n1 [label=\"seg_a\",shape=box,style=filled,"
+            "fillcolor=lightyellow];\n"
+            "  n2 [label=\"seg_b\",shape=box,style=filled,"
+            "fillcolor=lightyellow];\n"
+            "  n3 [label=\"mx\",shape=trapezium];\n"
+            "  n4 [label=\"fo_mx\",shape=point];\n"
+            "  n5 [label=\"SO\",shape=ellipse];\n"
+            "  n0 -> n4;\n"
+            "  n1 -> n3;\n"
+            "  n2 -> n5;\n"
+            "  n3 -> n2;\n"
+            "  n4 -> n1;\n"
+            "  n4 -> n3;\n"
+            "}\n");
 }
 
 // ----------------------------------------------------------------- spec

@@ -119,7 +119,8 @@ TEST(Simulator, StuckMuxIgnoresAddress) {
 TEST(Retarget, OpensSibToReadInstrument) {
   const rsn::Network net = makeFig1Network();
   ScanSimulator sim(net);
-  Retargeter rt(sim);
+  const auto flat = rsn::FlatNetwork::lower(net);
+  Retargeter rt(sim, *flat);
   const auto res = rt.readInstrument(net.findInstrument("i1"));
   EXPECT_TRUE(res.success);
   // Opening the SIB takes one configuration round plus the read access.
@@ -130,7 +131,8 @@ TEST(Retarget, OpensSibToReadInstrument) {
 TEST(Retarget, WritesInstrumentValue) {
   const rsn::Network net = makeFig1Network();
   ScanSimulator sim(net);
-  Retargeter rt(sim);
+  const auto flat = rsn::FlatNetwork::lower(net);
+  Retargeter rt(sim, *flat);
   const auto value = bits("1100");
   const auto res = rt.writeInstrument(net.findInstrument("i1"), value);
   EXPECT_TRUE(res.success);
@@ -169,10 +171,11 @@ TEST(Retarget, StrictNeverExceedsStructural) {
   // the structural one: the structural analysis ignores how control bits
   // are applied.
   const rsn::Network net = makeFig1Network();
+  const auto flat = rsn::FlatNetwork::lower(net);
   const fault::FaultUniverse universe(net);
   for (const Fault& f : universe.faults()) {
     const AccessReport strict = strictAccessibility(net, &f);
-    const AccessReport structural = structuralAccessibility(net, &f);
+    const AccessReport structural = structuralAccessibility(*flat, &f);
     for (rsn::InstrumentId i = 0; i < net.instruments().size(); ++i) {
       if (strict.observable.test(i)) {
         EXPECT_TRUE(structural.observable.test(i))
@@ -194,11 +197,12 @@ TEST(Retarget, ControlDependencyGapExists) {
   // pass... This documents at least one instrument where strict is more
   // pessimistic than structural across the fault universe.
   const rsn::Network net = makeFig1Network();
+  const auto flat = rsn::FlatNetwork::lower(net);
   const fault::FaultUniverse universe(net);
   std::size_t gaps = 0;
   for (const Fault& f : universe.faults()) {
     const AccessReport strict = strictAccessibility(net, &f);
-    const AccessReport structural = structuralAccessibility(net, &f);
+    const AccessReport structural = structuralAccessibility(*flat, &f);
     for (rsn::InstrumentId i = 0; i < net.instruments().size(); ++i) {
       gaps += structural.observable.test(i) && !strict.observable.test(i);
       gaps += structural.settable.test(i) && !strict.settable.test(i);
@@ -235,7 +239,8 @@ TEST(PatternCompatibility, HardenedNetworkAcceptsSamePatterns) {
 
   ScanSimulator simA(original);
   const auto i1 = original.findInstrument("i1");
-  Retargeter rtA(simA);
+  const auto flat = rsn::FlatNetwork::lower(original);
+  Retargeter rtA(simA, *flat);
   const auto res = rtA.readInstrument(i1);
   ASSERT_TRUE(res.success);
 
@@ -252,7 +257,8 @@ TEST(PatternCompatibility, ReplayDetectsDivergentNetwork) {
   // accepted — the guarantee is specific to topology-preserving plans.
   const rsn::Network original = makeFig1Network();
   ScanSimulator simA(original);
-  Retargeter rtA(simA);
+  const auto flat = rsn::FlatNetwork::lower(original);
+  Retargeter rtA(simA, *flat);
   const auto res = rtA.readInstrument(original.findInstrument("i1"));
   ASSERT_TRUE(res.success);
 
@@ -279,7 +285,8 @@ TEST(PatternCompatibility, ReplaysUnderFaultOnHardenedTopology) {
     const Fault f = Fault::segmentBreak(c.net.findSegment(c.brokenSegment));
     ScanSimulator simA(c.net);
     simA.injectFault(f);
-    Retargeter rtA(simA);
+    const auto flat = rsn::FlatNetwork::lower(c.net);
+    Retargeter rtA(simA, *flat);
     const auto i = c.net.findInstrument(c.instrument);
     const auto res = rtA.readInstrument(i);
     ASSERT_TRUE(res.success) << c.net.name();
@@ -300,7 +307,8 @@ TEST(PatternCompatibility, ReplayFailsOnAugmentedTopology) {
   // must NOT replay (the paper's compatibility argument, Sec. II).
   for (const rsn::Network& net : {makeFig1Network(), rsn::makeTinyNetwork()}) {
     ScanSimulator simA(net);
-    Retargeter rtA(simA);
+    const auto flat = rsn::FlatNetwork::lower(net);
+    Retargeter rtA(simA, *flat);
     ASSERT_FALSE(net.instruments().empty());
     const auto res = rtA.readInstrument(static_cast<rsn::InstrumentId>(0));
     ASSERT_TRUE(res.success) << net.name();
@@ -323,7 +331,8 @@ TEST(RetargetBounds, StuckAddressFaultFailsInsteadOfLooping) {
   sim.injectFault(Fault::segmentBreak(net.findSegment("c0")));
   RetargetOptions options;
   options.maxRounds = 3;
-  Retargeter engine(sim, options);
+  const auto flat = rsn::FlatNetwork::lower(net);
+  Retargeter engine(sim, *flat, options);
   const auto res = engine.readInstrument(net.findInstrument("i1"));
   EXPECT_FALSE(res.success);
   EXPECT_LE(res.rounds, 3u);
@@ -337,7 +346,8 @@ TEST(RetargetBounds, StuckMuxWriteFailsWithinRoundCap) {
   sim.injectFault(Fault::muxStuck(net.findMux("sb1_mux"), 0));
   RetargetOptions options;
   options.maxRounds = 5;
-  Retargeter engine(sim, options);
+  const auto flat = rsn::FlatNetwork::lower(net);
+  Retargeter engine(sim, *flat, options);
   const auto res = engine.writeInstrument(
       net.findInstrument("i1"),
       accessMarker(net.segment(net.findSegment("seg_i1")).length));
@@ -352,18 +362,19 @@ TEST(RetargetBounds, RerouteBudgetIsHonored) {
       harden::augmentFaultTolerant(makeFig1Network());
   const rsn::Network& net = ft.network;
   const Fault f = Fault::segmentBreak(net.findSegment("c2"));
+  const auto flat = rsn::FlatNetwork::lower(net);
 
   ScanSimulator noReroute(net);
   noReroute.injectFault(f);
   RetargetOptions off;
   off.allowReroute = false;
-  const auto denied =
-      Retargeter(noReroute, off).readInstrument(net.findInstrument("i3"));
+  const auto denied = Retargeter(noReroute, *flat, off)
+                          .readInstrument(net.findInstrument("i3"));
 
   ScanSimulator withReroute(net);
   withReroute.injectFault(f);
-  const auto recovered =
-      Retargeter(withReroute).readInstrument(net.findInstrument("i3"));
+  const auto recovered = Retargeter(withReroute, *flat)
+                             .readInstrument(net.findInstrument("i3"));
   ASSERT_TRUE(recovered.success);
   if (denied.success) {
     // If even the nominal recipe works, the reroute flag must be clear.

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "rsn/example_networks.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "sp/decomposition.hpp"
 #include "sp/sp_reduce.hpp"
 #include "test_util.hpp"
@@ -119,9 +119,9 @@ TEST(Decomposition, AsciiAndDotRender) {
 
 TEST(SpReduce, Fig1GraphIsSeriesParallel) {
   const rsn::Network net = makeFig1Network();
-  const rsn::GraphView gv = rsn::buildGraphView(net);
+  const auto flat = rsn::FlatNetwork::lower(net);
   const SpCheck check =
-      checkSeriesParallel(gv.graph, gv.scanIn, gv.scanOut);
+      checkSeriesParallel(digraphOf(*flat), flat->scanIn(), flat->scanOut());
   EXPECT_TRUE(check.isSeriesParallel);
   EXPECT_TRUE(check.stuckVertices.empty());
 }
@@ -130,8 +130,9 @@ TEST(SpReduce, AllRandomNetworksAreSp) {
   Rng rng(17);
   for (int round = 0; round < 8; ++round) {
     const rsn::Network net = test::randomNetwork(rng);
-    const rsn::GraphView gv = rsn::buildGraphView(net);
-    EXPECT_TRUE(checkSeriesParallel(gv.graph, gv.scanIn, gv.scanOut)
+    const auto flat = rsn::FlatNetwork::lower(net);
+    EXPECT_TRUE(checkSeriesParallel(digraphOf(*flat), flat->scanIn(),
+                                    flat->scanOut())
                     .isSeriesParallel);
   }
 }
@@ -173,11 +174,12 @@ TEST(SpReduce, VirtualizationMakesBridgeSp) {
 
 TEST(SpReduce, VirtualizationIsIdentityOnSpGraphs) {
   const rsn::Network net = makeFig1Network();
-  const rsn::GraphView gv = rsn::buildGraphView(net);
+  const auto flat = rsn::FlatNetwork::lower(net);
+  const graph::Digraph g = digraphOf(*flat);
   const Virtualization virt =
-      virtualizeToSp(gv.graph, gv.scanIn, gv.scanOut);
+      virtualizeToSp(g, flat->scanIn(), flat->scanOut());
   EXPECT_EQ(virt.clonesAdded, 0u);
-  EXPECT_EQ(virt.graph.vertexCount(), gv.graph.vertexCount());
+  EXPECT_EQ(virt.graph.vertexCount(), g.vertexCount());
 }
 
 TEST(SpReduce, RequiresTwoTerminalDag) {

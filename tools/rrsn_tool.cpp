@@ -84,7 +84,7 @@
 #include "moo/spea2.hpp"
 #include "obs/obs.hpp"
 #include "rsn/example_networks.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "rsn/netlist_io.hpp"
 #include "sim/retarget.hpp"
 #include "sp/decomposition.hpp"
@@ -277,8 +277,9 @@ int cmdInfo(const Options& opt) {
             << "instruments:   " << s.instruments << '\n'
             << "scan cells:    " << s.scanCells << '\n'
             << "mux nesting:   " << s.maxMuxNesting << '\n';
-  const rsn::GraphView gv = rsn::buildGraphView(net);
-  const auto check = sp::checkSeriesParallel(gv.graph, gv.scanIn, gv.scanOut);
+  const auto flat = rsn::FlatNetwork::lower(net);
+  const auto check = sp::checkSeriesParallel(sp::digraphOf(*flat),
+                                             flat->scanIn(), flat->scanOut());
   std::cout << "series-parallel: " << (check.isSeriesParallel ? "yes" : "no")
             << '\n';
   const auto tree = sp::DecompositionTree::build(net);
@@ -361,7 +362,8 @@ int cmdAccess(const Options& opt) {
              "unknown instrument '" + opt.positional[1] + "'");
   sim::ScanSimulator simulator(net);
   if (opt.faultText) simulator.injectFault(parseFault(net, *opt.faultText));
-  sim::Retargeter rt(simulator);
+  const auto flat = rsn::FlatNetwork::lower(net);
+  sim::Retargeter rt(simulator, *flat);
   simulator.setInstrumentValue(
       inst, sim::accessMarker(net.segment(net.instrument(inst).segment).length));
   const auto res = rt.readInstrument(inst);
