@@ -4,7 +4,7 @@
 // function of immutable inputs, so artifacts are interned once under a
 // key (fingerprint, kind) — the FNV-1a fingerprint of the content the
 // artifact was derived from, plus a kind string naming the pipeline
-// stage ("network", "flat", "lint", "crit:<seed>", "dict", ...).
+// stage ("network", "flat", "lint", "analyze:<seed>:<top>", ...).
 //
 // FNV-1a is not collision-free (support/hash.hpp), so a lookup may pass
 // a *verifier*: a predicate over the cached value that confirms the

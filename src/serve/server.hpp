@@ -2,8 +2,8 @@
 //
 // The daemon keeps one Server for its whole lifetime; the Server owns
 // the content-addressed ArtifactCache (interned networks, flat arenas,
-// lint reports, criticality vectors, dictionary resolutions, hardening
-// fronts) and the FlatStore disk tier, so repeated requests against the
+// lint reports, the reply of every analysis request) and the
+// FlatStore disk tier, so repeated requests against the
 // same design pay the parse/lower/analyze cost exactly once.
 //
 // Transports: serveStream() pumps one frame stream sequentially (the
@@ -50,8 +50,8 @@ class Server {
   /// Dispatches one request envelope to its endpoint and returns the
   /// response envelope.  Thread-safe; never throws.
   ///
-  /// Methods: ping, analyze, lint, harden, campaign, diagnose, whatif
-  /// (stub), stats, shutdown.  Every analysis method takes the netlist
+  /// Methods: ping, analyze, lint, harden, campaign, diagnose, certify,
+  /// stats, shutdown.  Every analysis method takes the netlist
   /// text inline in params.netlist; numeric params accept JSON integers
   /// or decimal strings (strings go through the same parseUintBounded
   /// validator as the rrsn_tool command line).

@@ -2,16 +2,19 @@
 // artifact cache (LRU eviction, fingerprint-collision verification),
 // endpoint dispatch over a real socketpair transport, thread-count
 // determinism of cached responses, deadline-expired campaigns as typed
-// errors, the FlatStore mmap-adopt tier — plus regression tests for the
-// I/O-robustness bugfix sweep this PR ships (strict numeric CLI
-// parsing, checkpoint save failures surfaced as Status, SIGPIPE
-// immunity of the tools).
+// errors, the FlatStore mmap-adopt tier, the command surface the daemon
+// shares with rrsn_tool (param schema, network names, per-subcommand
+// flags) — plus regression tests for the I/O-robustness fixes (strict
+// numeric CLI parsing, checkpoint save failures surfaced as Status,
+// SIGPIPE immunity of the tools).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,8 +25,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "api/params.hpp"
 #include "benchgen/registry.hpp"
+#include "campaign/campaign.hpp"
 #include "campaign/checkpoint.hpp"
+#include "moo/spea2.hpp"
 #include "rsn/example_networks.hpp"
 #include "rsn/flat.hpp"
 #include "rsn/netlist_io.hpp"
@@ -35,6 +41,7 @@
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/strings.hpp"
+#include "verify/certifier.hpp"
 
 namespace rrsn::serve {
 namespace {
@@ -254,6 +261,54 @@ TEST(ArtifactCache, SharedPtrSurvivesEviction) {
   EXPECT_EQ(*held, "alive") << "readers keep evicted values alive";
 }
 
+// ------------------------------------------------------ rrsn_tool runs
+
+/// Runs rrsn_tool with `args` and returns its exit code.  stderr goes
+/// to /dev/null, and so does stdout unless `out` captures it.
+int runTool(const std::vector<std::string>& args, bool closeStdout = false,
+            std::string* out = nullptr) {
+  std::vector<const char*> argv;
+  argv.push_back(RRSN_TOOL_BIN);
+  for (const std::string& a : args) argv.push_back(a.c_str());
+  argv.push_back(nullptr);
+  int capture[2] = {-1, -1};
+  if (out != nullptr && ::pipe(capture) != 0) return -1;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const int devnull = ::open("/dev/null", O_WRONLY);
+    if (closeStdout) {
+      // Simulate `rrsn_tool ... | head`: stdout is a pipe whose read
+      // end is already gone, so the first flush hits EPIPE.
+      int fds[2];
+      if (::pipe(fds) != 0) _exit(97);
+      ::close(fds[0]);
+      ::dup2(fds[1], STDOUT_FILENO);
+    } else if (out != nullptr) {
+      ::close(capture[0]);
+      ::dup2(capture[1], STDOUT_FILENO);
+    } else {
+      ::dup2(devnull, STDOUT_FILENO);
+    }
+    ::dup2(devnull, STDERR_FILENO);
+    ::execv(RRSN_TOOL_BIN, const_cast<char**>(argv.data()));
+    _exit(98);
+  }
+  if (out != nullptr) {
+    ::close(capture[1]);
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::read(capture[0], buf, sizeof buf)) > 0) {
+      out->append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(capture[0]);
+  }
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  EXPECT_TRUE(WIFEXITED(status))
+      << "tool must exit, not die on a signal (status " << status << ")";
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
 // ------------------------------------------------- server over stream
 
 /// One in-process client: socketpair + a thread pumping serveStream.
@@ -308,9 +363,13 @@ TEST(Server, PingAndUnknownMethod) {
   EXPECT_TRUE(pong.at("ok").asBool());
   EXPECT_TRUE(pong.at("result").at("pong").asBool());
 
-  const json::Value unknown = client.call("frobnicate");
-  EXPECT_FALSE(unknown.at("ok").asBool());
-  EXPECT_EQ(unknown.at("error").at("code").asString(), "UNIMPLEMENTED");
+  // whatif has no engine behind it, so it is unknown like any other name.
+  for (const char* method : {"frobnicate", "whatif"}) {
+    const json::Value unknown = client.call(method, netlistParams(fig1Text()));
+    EXPECT_FALSE(unknown.at("ok").asBool()) << method;
+    EXPECT_EQ(unknown.at("error").at("code").asString(), "UNIMPLEMENTED")
+        << method;
+  }
 }
 
 TEST(Server, MalformedFrameGetsErrorResponseAndStreamSurvives) {
@@ -369,6 +428,34 @@ TEST(Server, NumericParamsShareTheCliValidator) {
   json::Object good = netlistParams(fig1Text());
   good["top"] = json::Value("3");  // valid decimal string is accepted
   EXPECT_TRUE(client.call("analyze", std::move(good)).at("ok").asBool());
+
+  // The population bound is the schema's on both front ends: 1 is what
+  // the EA accepts, 0 is rejected by the daemon and by the CLI.
+  json::Object single = netlistParams(fig1Text());
+  single["generations"] = json::Value(std::uint64_t{2});
+  single["population"] = json::Value(std::uint64_t{1});
+  const json::Value one = client.call("harden", std::move(single));
+  EXPECT_TRUE(one.at("ok").asBool()) << json::serialize(one);
+
+  json::Object empty = netlistParams(fig1Text());
+  empty["population"] = json::Value(std::uint64_t{0});
+  const json::Value zero = client.call("harden", std::move(empty));
+  ASSERT_FALSE(zero.at("ok").asBool());
+  EXPECT_EQ(zero.at("error").at("code").asString(), "INVALID_ARGUMENT");
+  EXPECT_EQ(runTool({"harden", "example:fig1", "--population", "0"}), 1);
+}
+
+TEST(ParamSchema, DefaultsAreTheLibraryDefaults) {
+  EXPECT_EQ(api::kGenerations.fallback, moo::EvolutionOptions{}.generations);
+  EXPECT_EQ(api::kPopulation.fallback,
+            moo::EvolutionOptions{}.populationSize);
+  EXPECT_EQ(api::kSample.fallback, campaign::CampaignConfig{}.sample);
+  EXPECT_EQ(api::kSeed.fallback, campaign::CampaignConfig{}.seed);
+  EXPECT_EQ(api::kBudget.fallback, verify::CertifyOptions{}.fixpointBudget);
+  EXPECT_EQ(api::kBatch.fallback, campaign::CampaignConfig{}.checkpointEvery);
+  EXPECT_EQ(api::kMaxReroutes.fallback,
+            campaign::CampaignConfig{}.retarget.maxReroutes);
+  EXPECT_EQ(api::flagOf(api::kDeadlineMs), "--deadline-ms");
 }
 
 TEST(Server, BadNetlistIsInvalidArgumentNotInternal) {
@@ -394,47 +481,6 @@ TEST(Server, CampaignDeadlineExpiresAsTypedError) {
   const json::Value resp = client.call("campaign", std::move(params));
   ASSERT_FALSE(resp.at("ok").asBool()) << json::serialize(resp);
   EXPECT_EQ(resp.at("error").at("code").asString(), "DEADLINE_EXCEEDED");
-}
-
-TEST(Server, WhatifValidatesBeforeStubbing) {
-  Server server;
-  StreamClient client(server);
-
-  // Missing params are INVALID_ARGUMENT, not a stub acknowledgement.
-  const json::Value noNetlist = client.call("whatif", json::Object{});
-  ASSERT_FALSE(noNetlist.at("ok").asBool());
-  EXPECT_EQ(noNetlist.at("error").at("code").asString(), "INVALID_ARGUMENT");
-
-  json::Object noChange = netlistParams(fig1Text());
-  const json::Value resp2 = client.call("whatif", std::move(noChange));
-  ASSERT_FALSE(resp2.at("ok").asBool());
-  EXPECT_EQ(resp2.at("error").at("code").asString(), "INVALID_ARGUMENT");
-
-  json::Object badNetlist = netlistParams("segment s1 length=banana");
-  badNetlist["change"] = json::Value("break:s1");
-  const json::Value resp3 = client.call("whatif", std::move(badNetlist));
-  ASSERT_FALSE(resp3.at("ok").asBool());
-  EXPECT_EQ(resp3.at("error").at("code").asString(), "INVALID_ARGUMENT");
-
-  json::Object badChange = netlistParams(fig1Text());
-  badChange["change"] = json::Value("explode:everything");
-  const json::Value resp4 = client.call("whatif", std::move(badChange));
-  ASSERT_FALSE(resp4.at("ok").asBool());
-  EXPECT_EQ(resp4.at("error").at("code").asString(), "INVALID_ARGUMENT");
-
-  json::Object unknownSeg = netlistParams(fig1Text());
-  unknownSeg["change"] = json::Value("break:no_such_segment");
-  const json::Value resp5 = client.call("whatif", std::move(unknownSeg));
-  ASSERT_FALSE(resp5.at("ok").asBool());
-  EXPECT_EQ(resp5.at("error").at("code").asString(), "INVALID_ARGUMENT");
-
-  // A well-formed request still gets the honest stub.
-  json::Object good = netlistParams(fig1Text());
-  good["change"] = json::Value("break:c0");
-  const json::Value ok = client.call("whatif", std::move(good));
-  ASSERT_TRUE(ok.at("ok").asBool()) << json::serialize(ok);
-  EXPECT_TRUE(ok.at("result").at("stub").asBool());
-  EXPECT_EQ(ok.at("result").at("change").asString(), "break:c0");
 }
 
 TEST(Server, CertifyEndpointIsCachedAndByteIdentical) {
@@ -464,6 +510,27 @@ TEST(Server, CertifyEndpointIsCachedAndByteIdentical) {
       client.call("certify", netlistParams("segment s1 length=banana"));
   ASSERT_FALSE(bad.at("ok").asBool());
   EXPECT_EQ(bad.at("error").at("code").asString(), "INVALID_ARGUMENT");
+}
+
+TEST(Server, CertifyReplyEqualsCliJsonReport) {
+  // Both front ends read the same certifier options, so the daemon's
+  // reply is the document `rrsn_tool certify --json` writes.
+  const fs::path report = fs::temp_directory_path() /
+                          ("rrsn_certify_cli_" + std::to_string(::getpid()) +
+                           ".json");
+  ASSERT_EQ(runTool({"certify", "example:fig1", "--json", report.string()}),
+            0);
+  std::ifstream in(report);
+  const std::string cliText((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  fs::remove(report);
+
+  Server server;
+  StreamClient client(server);
+  const json::Value reply = client.call("certify", netlistParams(fig1Text()));
+  ASSERT_TRUE(reply.at("ok").asBool()) << json::serialize(reply);
+  EXPECT_EQ(json::serialize(reply.at("result")),
+            json::serialize(json::parse(cliText)));
 }
 
 TEST(Server, ConcurrentClientsThreadCountInvariance) {
@@ -530,8 +597,8 @@ TEST(Server, StatsReplyCountsCoalescedMisses) {
   for (auto& d : drivers) d.join();
   const json::Value cache =
       clients[0]->call("stats").at("result").at("cache");
-  // Each diagnose looks up the interned network and its dictionary
-  // resolution, and each of the two keys misses exactly once.
+  // Each diagnose looks up the interned network and its reply, and each
+  // of the two keys misses exactly once.
   const std::uint64_t misses = cache.at("misses").asUnsigned();
   EXPECT_EQ(misses, 2u);
   EXPECT_EQ(cache.at("hits").asUnsigned() + misses +
@@ -682,35 +749,6 @@ TEST(DaemonBinary, MalformedCliOptionExitsOneWithUsage) {
 
 // --------------------------------------- bugfix regressions: CLI args
 
-int runTool(const std::vector<std::string>& args, bool closeStdout = false) {
-  std::vector<const char*> argv;
-  argv.push_back(RRSN_TOOL_BIN);
-  for (const std::string& a : args) argv.push_back(a.c_str());
-  argv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    const int devnull = ::open("/dev/null", O_WRONLY);
-    if (closeStdout) {
-      // Simulate `rrsn_tool ... | head`: stdout is a pipe whose read
-      // end is already gone, so the first flush hits EPIPE.
-      int fds[2];
-      if (::pipe(fds) != 0) _exit(97);
-      ::close(fds[0]);
-      ::dup2(fds[1], STDOUT_FILENO);
-    } else {
-      ::dup2(devnull, STDOUT_FILENO);
-    }
-    ::dup2(devnull, STDERR_FILENO);
-    ::execv(RRSN_TOOL_BIN, const_cast<char**>(argv.data()));
-    _exit(98);
-  }
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  EXPECT_TRUE(WIFEXITED(status))
-      << "tool must exit, not die on a signal (status " << status << ")";
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
 TEST(ToolRegression, MalformedNumericOptionExitsOneNotGarbage) {
   // Pre-fix, "--seed banana" was silently parsed as 0 by atoll-style
   // parsing; now every numeric option rejects with a usage error.
@@ -730,6 +768,43 @@ TEST(ToolRegression, SigpipeDoesNotKillTheTool) {
   // process died on SIGPIPE (exit status 141); now the EPIPE write
   // error is reported on stderr and the tool exits 1.
   EXPECT_EQ(runTool({"dot", "example:fig1"}, /*closeStdout=*/true), 1);
+}
+
+TEST(ToolRegression, FaultBranchIsBoundedByMuxArity) {
+  // Pre-fix the branch went through an unbounded parse and a uint32
+  // cast: 4294967297 ran as branch 1 and 99 as a branch fig1's m0 lacks.
+  EXPECT_EQ(runTool({"diagnose", "example:fig1", "--fault",
+                     "stuck:m0:4294967297"}),
+            1);
+  EXPECT_EQ(runTool({"diagnose", "example:fig1", "--fault", "stuck:m0:99"}),
+            1);
+  EXPECT_EQ(runTool({"diagnose", "example:fig1", "--fault", "stuck:m0:1"}),
+            0);
+}
+
+TEST(ToolRegression, FlagsASubcommandDoesNotReadAreUsageErrors) {
+  EXPECT_EQ(runTool({"info", "example:fig1", "--pairs", "--generations", "5"}),
+            2);
+  EXPECT_EQ(runTool({"lint", "example:fig1", "--top", "3"}), 2);
+  EXPECT_EQ(runTool({"certify", "example:fig1", "--seed", "9", "--transient"}),
+            2);
+  EXPECT_EQ(runTool({"campaign", "example:fig1", "--pairs", "--sample", "4"}),
+            0);
+}
+
+TEST(ToolRegression, BenchmarkNamesResolveInEverySubcommand) {
+  EXPECT_EQ(runTool({"certify", "MBIST_1_5_5"}), 0);
+  EXPECT_EQ(runTool({"info", "TreeFlat"}), 0);
+  EXPECT_EQ(runTool({"analyze", "no_such_design"}), 1);
+  // Parsing q12710's generated text renumbers its segments; a name
+  // resolves through that text, as the checked-in netlist was written.
+  std::string byName, byFile;
+  EXPECT_EQ(runTool({"analyze", "q12710", "--top", "6"}, false, &byName), 0);
+  EXPECT_EQ(runTool({"analyze", RRSN_EXAMPLES_DIR "/q12710.rsn", "--top", "6"},
+                    false, &byFile),
+            0);
+  EXPECT_FALSE(byName.empty());
+  EXPECT_EQ(byName, byFile);
 }
 
 // ------------------------------------ bugfix regression: checkpoints

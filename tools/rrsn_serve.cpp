@@ -9,9 +9,8 @@
 // ssh tunnels); --socket accepts any number of concurrent clients on a
 // Unix socket.  The process lives until a client sends {"method":
 // "shutdown"} or SIGINT/SIGTERM arrives, so the content-addressed
-// artifact cache — parsed networks, mmap-adopted flat arenas,
-// criticality vectors, fault-dictionary resolutions, Pareto fronts —
-// amortizes across every request of a session.
+// artifact cache — parsed networks, mmap-adopted flat arenas and
+// analysis replies — amortizes across every request the daemon serves.
 #include <csignal>
 #include <cstdio>
 #include <iostream>
@@ -19,6 +18,7 @@
 
 #include <unistd.h>
 
+#include "api/params.hpp"
 #include "obs/obs.hpp"
 #include "serve/server.hpp"
 #include "support/error.hpp"
@@ -75,8 +75,8 @@ Options parseArgs(int argc, char** argv) {
           rrsn::parseUintBounded(next(i, "--cache-bytes"), "--cache-bytes", 0,
                                  std::uint64_t(1) << 40));
     } else if (arg == "--deadline-ms") {
-      opt.server.defaultDeadlineMs = rrsn::parseUintBounded(
-          next(i, "--deadline-ms"), "--deadline-ms", 1, 86'400'000);
+      opt.server.defaultDeadlineMs =
+          rrsn::api::fromArg(rrsn::api::kDeadlineMs, next(i, "--deadline-ms"));
     } else if (arg == "--threads") {
       opt.threads =
           rrsn::parseUintBounded(next(i, "--threads"), "--threads", 1, 256);

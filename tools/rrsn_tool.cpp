@@ -1,80 +1,19 @@
 // rrsn_tool — command-line driver for the robust-RSN library.
 //
-//   rrsn_tool info    <netlist>                  network statistics + SP check
-//   rrsn_tool dot     <netlist>                  Graphviz DOT of the graph model
-//   rrsn_tool tree    <netlist>                  annotated decomposition tree
-//   rrsn_tool analyze <netlist> [options]        criticality report (top k)
-//   rrsn_tool harden  <netlist> [options]        SPEA-2 Pareto front + plans
-//   rrsn_tool access  <netlist> <instrument> [--fault F]
-//                                                retarget an access, print CSU
-//                                                patterns (optionally under a
-//                                                fault: break:<seg> or
-//                                                stuck:<mux>:<branch>)
-//   rrsn_tool diagnose <netlist> --fault F       build the fault dictionary
-//                                                from certifier rows and
-//                                                diagnose the injected fault
-//                                                (RRSN_CERTIFY_MODE=checked
-//                                                cross-checks the rows)
-//   rrsn_tool campaign <netlist> [options]       fault-injection campaign:
-//                                                simulate every (scenario,
-//                                                instrument) access, classify
-//                                                accessible / recovered /
-//                                                reconfigured / lost and
-//                                                cross-validate against the
-//                                                structural oracles.  --pairs
-//                                                runs simultaneous two-fault
-//                                                scenarios (stratified sample
-//                                                of the pair space) against the
-//                                                pair-composed oracle;
-//                                                --transient runs one-shot CSU
-//                                                upsets (--transient-rounds
-//                                                0,1,...) with a recovery
-//                                                re-probe after reconfiguring.
-//                                                Options: --sample N,
-//                                                --sample-fraction F,
-//                                                --deadline-ms N,
-//                                                --checkpoint file, --batch N,
-//                                                --csv file, --json file,
-//                                                --max-reroutes N, --no-reroute
-//   rrsn_tool bench   <name>                     emit a Table-I benchmark as a
-//                                                netlist on stdout
-//   rrsn_tool certify <netlist> [options]        static robustness certifier:
-//                                                fixpoint dataflow proof of
-//                                                per-instrument accessibility
-//                                                under every single structural
-//                                                fault.  --plan f excludes the
-//                                                hardened primitives from the
-//                                                fault universe, --top K bounds
-//                                                the itemized witness table,
-//                                                --json f / --sarif f export
-//                                                the verdicts.  Exit 1 when
-//                                                any verdict stayed Unknown.
-//   rrsn_tool lint    <netlist> [options]        static verification: run the
-//                                                rrsn_lint rule registry and
-//                                                print a compiler-style report
-//                                                (exit 1 on error findings).
-//                                                --spec f checks damage
-//                                                weights, --plan f checks a
-//                                                hardened-set plan, --json f /
-//                                                --sarif f export the findings
-//                                                (SARIF 2.1.0 for CI)
-//
-// Common options: --spec <file> (explicit damage weights), --seed N
-// (random spec / EA seed), --generations N, --population N, --top K.
-// `analyze`, `harden` and `campaign` fail fast on error-severity lint
-// findings before doing any work; --no-lint skips that check.
-// Every subcommand also accepts --trace <file> (Chrome trace-event JSON
-// of the run, for chrome://tracing / Perfetto) and --metrics <file>
-// (canonical metrics JSON); both imply profiling and print a timing
-// summary to stderr.  Results are byte-identical with and without them.
-// `<netlist>` of "-" reads from stdin; "example:fig1" / "example:tiny"
-// resolve the built-in example networks.
+// Each subcommand is one row of commands(): its name, arguments,
+// summary, the flags it reads and its handler.  Run the tool without
+// arguments for the usage text built from the rows.  Numeric flags
+// share their names, bounds and defaults with rrsn_serve's request
+// params (api/params.hpp).  Every subcommand also accepts --trace and
+// --metrics files; stdout is byte-identical with and without them.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <limits>
+#include <map>
 #include <optional>
 #include <sstream>
 
+#include "api/params.hpp"
 #include "benchgen/registry.hpp"
 #include "campaign/campaign.hpp"
 #include "crit/analyzer.hpp"
@@ -97,158 +36,166 @@ namespace {
 
 using namespace rrsn;
 
-struct Options {
-  std::string command;
-  std::vector<std::string> positional;
-  std::optional<std::string> specFile;
-  std::optional<std::string> faultText;
-  std::optional<std::string> planOut;
-  // lint options
-  std::optional<std::string> planIn;
-  std::optional<std::string> sarifOut;
-  bool noLint = false;
-  std::uint64_t seed = 2022;
-  std::size_t generations = 300;
-  std::size_t population = 100;
-  std::size_t top = 10;
-  // campaign options
-  bool pairs = false;
-  bool transientMode = false;
-  std::size_t sample = 0;
-  double sampleFraction = 0.0;
-  std::optional<std::vector<std::uint32_t>> transientRounds;
-  std::size_t deadlineMs = 0;
-  std::size_t batch = 32;
-  std::size_t maxReroutes = 8;
-  bool noReroute = false;
-  std::optional<std::string> checkpoint;
-  std::optional<std::string> csvOut;
-  std::optional<std::string> jsonOut;
-  // observability (any subcommand)
-  std::optional<std::string> traceOut;
-  std::optional<std::string> metricsOut;
+/// A flag a subcommand reads: "--name", "--name <value>", or a numeric
+/// param of the shared schema.
+struct Flag {
+  Flag(const char* text) : spelling(text) {}
+  Flag(const api::Param& p) : spelling(api::flagOf(p) + " N"), number(&p) {}
+  std::string_view name() const {
+    return std::string_view(spelling).substr(0, spelling.find(' '));
+  }
+  std::string spelling;
+  const api::Param* number = nullptr;
 };
 
-const char* usageText() {
-  return
-      "usage: rrsn_tool <info|dot|tree|analyze|harden|access|diagnose|"
-      "campaign|bench|lint|certify> <netlist|name> [args] [--spec file] "
-      "[--fault F] "
-      "[--seed N] [--generations N] [--population N] [--top K] "
-      "[--plan-out file] [--pairs] [--transient] [--transient-rounds list] "
-      "[--sample N] [--sample-fraction F] [--deadline-ms N] "
-      "[--checkpoint file] "
-      "[--batch N] [--csv file] [--json file] [--max-reroutes N] "
-      "[--no-reroute] [--trace file] [--metrics file] [--plan file] "
-      "[--sarif file] [--no-lint]\n";
+/// A parsed command line: positionals and the text of every flag given
+/// (a switch maps to "").
+struct Args {
+  std::vector<std::string> positional;
+  std::map<std::string, std::string, std::less<>> flags;
+
+  const std::string* get(std::string_view flag) const {
+    const auto it = flags.find(flag);
+    return it == flags.end() ? nullptr : &it->second;
+  }
+  bool has(std::string_view flag) const { return get(flag) != nullptr; }
+  std::uint64_t num(const api::Param& p) const {
+    const std::string* text = get(api::flagOf(p));
+    return text ? api::fromArg(p, *text) : p.fallback;
+  }
+};
+
+struct Command {
+  std::string_view name, args, summary;
+  std::vector<Flag> flags;
+  int (*run)(const Args&);
+};
+
+const std::vector<Command>& commands();
+
+std::string usageText() {
+  std::string text =
+      "usage: rrsn_tool <command> <netlist> [args] [flags] [--trace file] "
+      "[--metrics file]\n";
+  for (const Command& c : commands()) {
+    text += "  " + std::string(c.name) + ' ' + std::string(c.args);
+    for (const Flag& f : c.flags) text += " [" + f.spelling + ']';
+    text += "\n      " + std::string(c.summary) + '\n';
+  }
+  return text +
+         "<netlist> is - (stdin), example:fig1, example:tiny, a netlist "
+         "file, or a Table-I or huge benchmark name\n"
+         "F is break:<segment> or stuck:<mux>:<branch>\n";
 }
 
-[[noreturn]] void usage() {
+[[noreturn]] void usage(const std::string& why = {}) {
+  if (!why.empty()) std::cerr << "rrsn_tool: " << why << '\n';
   std::cerr << usageText();
   std::exit(2);
 }
 
-Options parseArgs(int argc, char** argv) {
-  Options opt;
-  if (argc < 3) usage();
-  opt.command = argv[1];
+Args parseArgs(const Command& cmd, int argc, char** argv) {
+  std::vector<Flag> flags = cmd.flags;
+  flags.insert(flags.end(), {"--trace file", "--metrics file"});
+  Args a;
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
+    if (arg.empty() || arg[0] != '-' || arg == "-") {
+      a.positional.push_back(arg);
+      continue;
+    }
     // Both "--opt value" and "--opt=value" are accepted for every
     // value-taking option.
-    std::optional<std::string> inlineValue;
-    if (arg.size() > 2 && arg[0] == '-' && arg[1] == '-') {
-      const auto eq = arg.find('=');
-      if (eq != std::string::npos) {
-        inlineValue = arg.substr(eq + 1);
-        arg.resize(eq);
-      }
+    std::optional<std::string> value;
+    if (const auto eq = arg.find('=');
+        startsWith(arg, "--") && eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+      arg.resize(eq);
     }
-    const auto value = [&]() -> std::string {
-      if (inlineValue) return *inlineValue;
-      if (i + 1 >= argc) usage();
-      return argv[++i];
-    };
-    if (arg == "--spec") opt.specFile = value();
-    else if (arg == "--plan-out") opt.planOut = value();
-    else if (arg == "--plan") opt.planIn = value();
-    else if (arg == "--sarif") opt.sarifOut = value();
-    else if (arg == "--no-lint") opt.noLint = true;
-    else if (arg == "--fault") opt.faultText = value();
-    // All numeric options go through the strict bounded parser: the
-    // whole string must be digits and the value must be in range, or a
-    // UsageError surfaces the message next to the usage text (exit 1).
-    // The same helper validates rrsn_serve request fields.
-    else if (arg == "--seed")
-      opt.seed = parseUintBounded(value(), "--seed", 0,
-                                  std::numeric_limits<std::uint64_t>::max());
-    else if (arg == "--generations")
-      opt.generations = parseUintBounded(value(), "--generations", 1, 1000000);
-    else if (arg == "--population")
-      opt.population = parseUintBounded(value(), "--population", 1, 1000000);
-    else if (arg == "--top")
-      opt.top = parseUintBounded(value(), "--top", 1, 1000000);
-    else if (arg == "--pairs") opt.pairs = true;
-    else if (arg == "--transient") opt.transientMode = true;
-    else if (arg == "--transient-rounds") {
-      std::vector<std::uint32_t> rounds;
-      for (const std::string& part : split(value(), ','))
-        rounds.push_back(static_cast<std::uint32_t>(
-            parseUintBounded(part, "--transient-rounds", 0, 1000000)));
-      opt.transientRounds = std::move(rounds);
+    const auto flag = std::find_if(
+        flags.begin(), flags.end(),
+        [&arg](const Flag& f) { return f.name() == arg; });
+    if (flag == flags.end()) {
+      usage(std::string(cmd.name) + " does not read " + arg);
     }
-    else if (arg == "--sample")
-      opt.sample = parseUintBounded(value(), "--sample", 0, 100000000);
-    else if (arg == "--sample-fraction")
-      opt.sampleFraction = parseDouble(value(), "--sample-fraction");
-    else if (arg == "--deadline-ms")
-      opt.deadlineMs = parseUintBounded(value(), "--deadline-ms", 0, 86400000);
-    else if (arg == "--batch")
-      opt.batch = parseUintBounded(value(), "--batch", 1, 1000000);
-    else if (arg == "--max-reroutes")
-      opt.maxReroutes = parseUintBounded(value(), "--max-reroutes", 0, 1000000);
-    else if (arg == "--no-reroute") opt.noReroute = true;
-    else if (arg == "--checkpoint") opt.checkpoint = value();
-    else if (arg == "--csv") opt.csvOut = value();
-    else if (arg == "--json") opt.jsonOut = value();
-    else if (arg == "--trace") opt.traceOut = value();
-    else if (arg == "--metrics") opt.metricsOut = value();
-    else if (!arg.empty() && arg[0] == '-' && arg != "-") usage();
-    else opt.positional.push_back(arg);
-    if (inlineValue && (arg == "--no-reroute" || arg == "--no-lint" ||
-                        arg == "--pairs" || arg == "--transient" ||
-                        arg[0] != '-'))
-      usage();
+    const bool takesValue = flag->spelling.find(' ') != std::string::npos;
+    if (value && !takesValue) usage(arg + " takes no value");
+    if (takesValue && !value) {
+      if (i + 1 >= argc) usage(arg + " needs a value");
+      value = argv[++i];
+    }
+    // Numeric values are checked before any work starts.
+    if (flag->number) (void)api::fromArg(*flag->number, *value);
+    a.flags[arg] = value.value_or("");
   }
-  if (opt.positional.empty()) usage();
-  return opt;
+  if (a.positional.empty()) usage();
+  return a;
 }
 
-/// Flushes and verifies an output stream after writing a report; an
-/// ofstream swallows ENOSPC/EPIPE silently until checked.
-void checkStreamWrite(std::ostream& out, const std::string& what) {
+/// Writes one report file and checks the flush: an ofstream swallows
+/// ENOSPC/EPIPE silently until checked.
+void writeFile(const std::string& path, const std::string& what,
+               std::string_view content) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw IoError("cannot write " + what + " '" + path + "'");
+  out << content;
   out.flush();
-  if (!out) throw IoError("short write to " + what);
+  if (!out) throw IoError("short write to " + what + " '" + path + "'");
 }
 
-rsn::Network loadNetwork(const std::string& path) {
-  if (path == "-") return rsn::parseNetlist(std::cin);
-  // `example:<name>` resolves the built-in example networks, so every
-  // command (campaign in particular) can run on them without a file.
-  if (path == "example:fig1") return rsn::makeFig1Network();
-  if (path == "example:tiny") return rsn::makeTinyNetwork();
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open netlist '" + path + "'");
-  return rsn::parseNetlist(in);
+std::string jsonText(const json::Value& doc) {
+  return json::serialize(doc, 1) + '\n';
 }
 
-rsn::CriticalitySpec loadSpec(const Options& opt, const rsn::Network& net) {
-  if (opt.specFile) {
-    std::ifstream in(*opt.specFile);
-    if (!in) throw Error("cannot open spec '" + *opt.specFile + "'");
+/// The generated netlist text of a Table-I or huge benchmark name.
+/// Parsing it renumbers segments in some designs, so every subcommand
+/// reads a benchmark through this text and sees what `bench` prints.
+std::optional<std::string> benchmarkText(const std::string& name) {
+  for (const auto* tier :
+       {&benchgen::table1Benchmarks(), &benchgen::hugeBenchmarks()}) {
+    for (const benchgen::BenchmarkSpec& spec : *tier) {
+      if (spec.name == name)
+        return rsn::netlistToString(benchgen::buildBenchmark(spec));
+    }
+  }
+  return std::nullopt;
+}
+
+/// Resolves <netlist>: "-" (stdin), example:fig1|tiny, an existing
+/// file, then a benchmark name.  `read` parses stdin, files and
+/// benchmark text.
+template <typename Read>
+auto resolveNetwork(const std::string& arg, Read read)
+    -> decltype(read(std::cin)) {
+  if (arg == "-") return read(std::cin);
+  if (arg == "example:fig1") return rsn::makeFig1Network();
+  if (arg == "example:tiny") return rsn::makeTinyNetwork();
+  if (std::ifstream file(arg); file) return read(file);
+  if (const auto text = benchmarkText(arg)) {
+    std::istringstream in(*text);
+    return read(in);
+  }
+  throw Error("cannot resolve netlist '" + arg +
+              "': not - (stdin), example:fig1|tiny, a netlist file or a "
+              "benchmark name");
+}
+
+rsn::Network loadNetwork(const std::string& arg) {
+  return resolveNetwork(arg,
+                        [](std::istream& in) { return rsn::parseNetlist(in); });
+}
+
+std::string artifactName(const Args& a) {
+  return a.positional[0] == "-" ? "<stdin>" : a.positional[0];
+}
+
+rsn::CriticalitySpec loadSpec(const Args& a, const rsn::Network& net) {
+  if (const std::string* path = a.get("--spec")) {
+    std::ifstream in(*path);
+    if (!in) throw Error("cannot open spec '" + *path + "'");
     return rsn::readSpec(in, net);
   }
-  Rng rng(opt.seed);
+  Rng rng(a.num(api::kSeed));
   return rsn::randomSpec(net, {}, rng);
 }
 
@@ -262,14 +209,17 @@ fault::Fault parseFault(const rsn::Network& net, const std::string& text) {
   if (parts.size() == 3 && parts[0] == "stuck") {
     const rsn::MuxId mux = net.findMux(parts[1]);
     RRSN_CHECK(mux != rsn::kNone, "unknown mux '" + parts[1] + "'");
+    const std::uint32_t arity = rsn::FlatNetwork::lower(net)->muxArity()[mux];
     return fault::Fault::muxStuck(
-        mux, static_cast<std::uint32_t>(parseUnsigned(parts[2], "branch")));
+        mux, static_cast<std::uint32_t>(parseUintBounded(
+                 parts[2], "--fault branch of mux '" + parts[1] + "'", 0,
+                 arity - 1)));
   }
   throw ParseError("--fault expects break:<segment> or stuck:<mux>:<branch>");
 }
 
-int cmdInfo(const Options& opt) {
-  const rsn::Network net = loadNetwork(opt.positional[0]);
+int cmdInfo(const Args& a) {
+  const rsn::Network net = loadNetwork(a.positional[0]);
   const rsn::NetworkStats s = net.stats();
   std::cout << "network:       " << net.name() << '\n'
             << "segments:      " << s.segments << '\n'
@@ -288,42 +238,43 @@ int cmdInfo(const Options& opt) {
   return 0;
 }
 
-int cmdDot(const Options& opt) {
-  std::cout << rsn::toDot(loadNetwork(opt.positional[0]));
+int cmdDot(const Args& a) {
+  std::cout << rsn::toDot(loadNetwork(a.positional[0]));
   return 0;
 }
 
-int cmdTree(const Options& opt) {
-  const rsn::Network net = loadNetwork(opt.positional[0]);
+int cmdTree(const Args& a) {
+  const rsn::Network net = loadNetwork(a.positional[0]);
   auto tree = sp::DecompositionTree::build(net);
-  tree.annotate(loadSpec(opt, net));
+  tree.annotate(loadSpec(a, net));
   std::cout << tree.toAscii();
   return 0;
 }
 
-int cmdAnalyze(const Options& opt) {
-  const rsn::Network net = loadNetwork(opt.positional[0]);
-  const auto spec = loadSpec(opt, net);
+/// Criticality under --spec, or the random spec drawn from --seed.
+crit::CriticalityResult analyze(const Args& a, const rsn::Network& net) {
   crit::AnalysisOptions options;
-  options.lint = !opt.noLint;
-  const auto analysis = crit::CriticalityAnalyzer(net, spec, options).run();
+  options.lint = !a.has("--no-lint");
+  return crit::CriticalityAnalyzer(net, loadSpec(a, net), options).run();
+}
+
+int cmdAnalyze(const Args& a) {
+  const rsn::Network net = loadNetwork(a.positional[0]);
+  const auto analysis = analyze(a, net);
   std::cout << "accumulated single-defect damage (nothing hardened): "
             << withThousands(analysis.totalDamage()) << "\n\n"
-            << analysis.report(opt.top);
+            << analysis.report(a.num(api::kTop));
   return 0;
 }
 
-int cmdHarden(const Options& opt) {
-  const rsn::Network net = loadNetwork(opt.positional[0]);
-  const auto spec = loadSpec(opt, net);
-  crit::AnalysisOptions critOptions;
-  critOptions.lint = !opt.noLint;
-  const auto analysis = crit::CriticalityAnalyzer(net, spec, critOptions).run();
+int cmdHarden(const Args& a) {
+  const rsn::Network net = loadNetwork(a.positional[0]);
+  const auto analysis = analyze(a, net);
   const auto problem = harden::HardeningProblem::assemble(net, analysis);
   moo::EvolutionOptions options;
-  options.populationSize = opt.population;
-  options.generations = opt.generations;
-  options.seed = opt.seed;
+  options.populationSize = a.num(api::kPopulation);
+  options.generations = a.num(api::kGenerations);
+  options.seed = a.num(api::kSeed);
   const auto result = moo::runSpea2(problem.linear, options);
 
   std::cout << "max cost " << withThousands(problem.maxCost)
@@ -337,13 +288,11 @@ int cmdHarden(const Options& opt) {
   if (sols.minCost) {
     const harden::HardeningPlan plan(net, sols.minCost->genome);
     std::cout << "\nmin cost @ damage <= 10%:\n" << plan.report(analysis);
-    if (opt.planOut) {
-      std::ofstream out(*opt.planOut);
-      RRSN_CHECK(static_cast<bool>(out),
-                 "cannot write plan '" + *opt.planOut + "'");
-      harden::writePlan(out, plan);
-      checkStreamWrite(out, "plan '" + *opt.planOut + "'");
-      std::cout << "plan written to " << *opt.planOut << '\n';
+    if (const std::string* path = a.get("--plan-out")) {
+      std::ostringstream text;
+      harden::writePlan(text, plan);
+      writeFile(*path, "plan", text.str());
+      std::cout << "plan written to " << *path << '\n';
     }
   }
   if (sols.minDamage) {
@@ -354,14 +303,15 @@ int cmdHarden(const Options& opt) {
   return 0;
 }
 
-int cmdAccess(const Options& opt) {
-  if (opt.positional.size() < 2) usage();
-  const rsn::Network net = loadNetwork(opt.positional[0]);
-  const rsn::InstrumentId inst = net.findInstrument(opt.positional[1]);
+int cmdAccess(const Args& a) {
+  if (a.positional.size() < 2) usage();
+  const rsn::Network net = loadNetwork(a.positional[0]);
+  const rsn::InstrumentId inst = net.findInstrument(a.positional[1]);
   RRSN_CHECK(inst != rsn::kNone,
-             "unknown instrument '" + opt.positional[1] + "'");
+             "unknown instrument '" + a.positional[1] + "'");
   sim::ScanSimulator simulator(net);
-  if (opt.faultText) simulator.injectFault(parseFault(net, *opt.faultText));
+  if (const std::string* f = a.get("--fault"))
+    simulator.injectFault(parseFault(net, *f));
   const auto flat = rsn::FlatNetwork::lower(net);
   sim::Retargeter rt(simulator, *flat);
   simulator.setInstrumentValue(
@@ -378,10 +328,11 @@ int cmdAccess(const Options& opt) {
   return res.success ? 0 : 1;
 }
 
-int cmdDiagnose(const Options& opt) {
-  const rsn::Network net = loadNetwork(opt.positional[0]);
-  RRSN_CHECK(opt.faultText.has_value(), "diagnose requires --fault");
-  const fault::Fault f = parseFault(net, *opt.faultText);
+int cmdDiagnose(const Args& a) {
+  const rsn::Network net = loadNetwork(a.positional[0]);
+  const std::string* faultText = a.get("--fault");
+  RRSN_CHECK(faultText != nullptr, "diagnose requires --fault");
+  const fault::Fault f = parseFault(net, *faultText);
   const auto dict = diag::FaultDictionary::build(net);
   const auto observed = diag::FaultDictionary::measure(net, &f);
   const auto d = dict.diagnose(observed);
@@ -401,30 +352,33 @@ int cmdDiagnose(const Options& opt) {
   return 0;
 }
 
-int cmdCampaign(const Options& opt) {
-  const rsn::Network net = loadNetwork(opt.positional[0]);
+int cmdCampaign(const Args& a) {
+  const rsn::Network net = loadNetwork(a.positional[0]);
 
-  if (opt.pairs && opt.transientMode) {
+  if (a.has("--pairs") && a.has("--transient")) {
     std::cerr << "rrsn_tool: --pairs and --transient are mutually exclusive\n";
     return 2;
   }
   campaign::CampaignConfig config;
-  if (opt.pairs) config.mode = campaign::CampaignMode::Pairs;
-  if (opt.transientMode) config.mode = campaign::CampaignMode::Transient;
-  config.sample = opt.sample;
-  config.sampleFraction = opt.sampleFraction;
-  if (opt.transientRounds) config.transientRounds = *opt.transientRounds;
-  config.seed = opt.seed;
-  config.retarget.allowReroute = !opt.noReroute;
-  config.retarget.maxReroutes = opt.maxReroutes;
-  config.checkpointEvery = opt.batch;
-  config.lint = !opt.noLint;
-  if (opt.checkpoint) config.checkpointPath = *opt.checkpoint;
-
-  // The CLI keeps its historical "0 = no deadline" contract; the config
-  // layer spells that kNoDeadline and rejects a literal 0.
-  if (opt.deadlineMs != 0)
-    config.deadlineMs = static_cast<std::uint64_t>(opt.deadlineMs);
+  if (a.has("--pairs")) config.mode = campaign::CampaignMode::Pairs;
+  if (a.has("--transient")) config.mode = campaign::CampaignMode::Transient;
+  config.sample = a.num(api::kSample);
+  if (const std::string* f = a.get("--sample-fraction"))
+    config.sampleFraction = parseDouble(*f, "--sample-fraction");
+  if (const std::string* rounds = a.get("--transient-rounds")) {
+    config.transientRounds.clear();
+    for (const std::string& part : split(*rounds, ','))
+      config.transientRounds.push_back(static_cast<std::uint32_t>(
+          parseUintBounded(part, "--transient-rounds", 0, 1000000)));
+  }
+  config.seed = a.num(api::kSeed);
+  config.retarget.allowReroute = !a.has("--no-reroute");
+  config.retarget.maxReroutes = a.num(api::kMaxReroutes);
+  config.checkpointEvery = a.num(api::kBatch);
+  config.lint = !a.has("--no-lint");
+  const std::string* checkpoint = a.get("--checkpoint");
+  if (checkpoint) config.checkpointPath = *checkpoint;
+  if (a.has("--deadline-ms")) config.deadlineMs = a.num(api::kDeadlineMs);
   config.progress = [](std::size_t done, std::size_t total) {
     std::cerr << "campaign: " << done << "/" << total << " scenarios\n";
   };
@@ -469,99 +423,70 @@ int cmdCampaign(const Options& opt) {
               << s.oracleDisagreements << " (fault, instrument) pairs\n";
   }
 
-  if (opt.csvOut) {
-    std::ofstream out(*opt.csvOut);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write csv '" + *opt.csvOut + "'");
-    out << campaign::outcomeTable(net, result).renderCsv();
-    checkStreamWrite(out, "csv '" + *opt.csvOut + "'");
-    std::cout << "\nper-fault outcomes written to " << *opt.csvOut << '\n';
+  if (const std::string* path = a.get("--csv")) {
+    writeFile(*path, "csv", campaign::outcomeTable(net, result).renderCsv());
+    std::cout << "\nper-fault outcomes written to " << *path << '\n';
   }
-  if (opt.jsonOut) {
-    std::ofstream out(*opt.jsonOut);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write json '" + *opt.jsonOut + "'");
-    out << json::serialize(campaign::reportJson(net, result), 1) << '\n';
-    checkStreamWrite(out, "json '" + *opt.jsonOut + "'");
-    std::cout << "report written to " << *opt.jsonOut << '\n';
+  if (const std::string* path = a.get("--json")) {
+    writeFile(*path, "json", jsonText(campaign::reportJson(net, result)));
+    std::cout << "report written to " << *path << '\n';
   }
   if (!s.complete()) {
     std::cout << "\ncampaign interrupted by deadline after " << s.faultsDone
               << "/" << s.faultsTotal << " scenarios";
-    if (opt.checkpoint)
-      std::cout << "; rerun with the same --checkpoint to resume";
+    if (checkpoint) std::cout << "; rerun with the same --checkpoint to resume";
     std::cout << '\n';
     return 1;
   }
   return 0;
 }
 
-int cmdBench(const Options& opt) {
-  // Accepts the Table-I benchmark names and, for symmetry with the other
-  // subcommands, the built-in "example:*" networks.
-  const std::string& name = opt.positional[0];
-  const rsn::Network net = startsWith(name, "example:")
-                               ? loadNetwork(name)
-                               : benchgen::buildBenchmark(name);
-  rsn::writeNetlist(std::cout, net);
+int cmdBench(const Args& a) {
+  const auto text = benchmarkText(a.positional[0]);
+  std::cout << (text ? *text
+                     : rsn::netlistToString(loadNetwork(a.positional[0])));
   return 0;
 }
 
-int cmdLint(const Options& opt) {
-  const std::string& path = opt.positional[0];
+int cmdLint(const Args& a) {
   lint::LintResult result;
   rsn::NetlistSources sources;
-  std::optional<rsn::Network> net;
-  if (path == "example:fig1") {
-    net = rsn::makeFig1Network();
-  } else if (path == "example:tiny") {
-    net = rsn::makeTinyNetwork();
-  } else if (path == "-") {
-    net = lint::parseForLint(std::cin, sources, result);
-  } else {
-    std::ifstream in(path);
-    if (!in) throw Error("cannot open netlist '" + path + "'");
-    net = lint::parseForLint(in, sources, result);
-  }
+  // Files, stdin and benchmark text take the lenient parse, which turns
+  // malformed input into findings instead of an exception.
+  const std::optional<rsn::Network> net =
+      resolveNetwork(a.positional[0], [&](std::istream& in) {
+        return lint::parseForLint(in, sources, result);
+      });
 
   std::optional<rsn::CriticalitySpec> spec;
   std::vector<std::string> planNames;
+  const std::string* planPath = a.get("--plan");
   if (net) {
-    if (opt.specFile) {
-      std::ifstream in(*opt.specFile);
-      if (!in) throw Error("cannot open spec '" + *opt.specFile + "'");
+    if (const std::string* path = a.get("--spec")) {
+      std::ifstream in(*path);
+      if (!in) throw Error("cannot open spec '" + *path + "'");
       spec = lint::lintSpec(in, *net, result);
     }
-    if (opt.planIn) {
-      std::ifstream in(*opt.planIn);
-      if (!in) throw Error("cannot open plan '" + *opt.planIn + "'");
+    if (planPath) {
+      std::ifstream in(*planPath);
+      if (!in) throw Error("cannot open plan '" + *planPath + "'");
       planNames = lint::readPlanNames(in);
     }
     lint::LintOptions options;
     options.sources = &sources;
     if (spec) options.spec = &*spec;
-    if (opt.planIn) options.hardenedNames = &planNames;
+    if (planPath) options.hardenedNames = &planNames;
     lint::LintResult model = lint::runLint(*net, options);
     for (lint::Finding& f : model.findings) result.add(std::move(f));
   }
   result.sort();
 
-  const std::string artifact = path == "-" ? "<stdin>" : path;
+  const std::string artifact = artifactName(a);
   std::cout << lint::textReport(result, artifact);
-  if (opt.jsonOut) {
-    std::ofstream out(*opt.jsonOut);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write json '" + *opt.jsonOut + "'");
-    out << json::serialize(lint::jsonReport(result, artifact), 1) << '\n';
-    checkStreamWrite(out, "json '" + *opt.jsonOut + "'");
-  }
-  if (opt.sarifOut) {
-    std::ofstream out(*opt.sarifOut);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write sarif '" + *opt.sarifOut + "'");
-    out << json::serialize(lint::sarifReport(result, artifact), 1) << '\n';
-    checkStreamWrite(out, "sarif '" + *opt.sarifOut + "'");
-  }
+  if (const std::string* path = a.get("--json"))
+    writeFile(*path, "json", jsonText(lint::jsonReport(result, artifact)));
+  if (const std::string* path = a.get("--sarif"))
+    writeFile(*path, "sarif", jsonText(lint::sarifReport(result, artifact)));
   return result.clean() ? 0 : 1;
 }
 
@@ -588,12 +513,13 @@ DynamicBitset loadExclusions(const rsn::Network& net,
   return excluded;
 }
 
-int cmdCertify(const Options& opt) {
-  const rsn::Network net = loadNetwork(opt.positional[0]);
-  if (!opt.noLint) lint::enforceClean(net, "certification");
+int cmdCertify(const Args& a) {
+  const rsn::Network net = loadNetwork(a.positional[0]);
+  if (!a.has("--no-lint")) lint::enforceClean(net, "certification");
 
   verify::CertifyOptions options;
-  if (opt.planIn) options.excludePrimitives = loadExclusions(net, *opt.planIn);
+  if (const std::string* plan = a.get("--plan"))
+    options.excludePrimitives = loadExclusions(net, *plan);
   options.crossCheck = verify::crossCheckDefault();
 
   const verify::Certifier certifier(net);
@@ -613,7 +539,8 @@ int cmdCertify(const Options& opt) {
             << verify::summaryTable(s).render();
   if (s.vulnerableRead + s.vulnerableWrite + s.unknownCells() > 0) {
     std::cout << '\n'
-              << verify::vulnerabilityTable(net, result, opt.top).render();
+              << verify::vulnerabilityTable(net, result, a.num(api::kTop))
+                     .render();
   }
   if (s.unknownCells() > 0) {
     std::cout << "\nWARNING: " << s.unknownCells()
@@ -621,66 +548,76 @@ int cmdCertify(const Options& opt) {
                  "certification is incomplete\n";
   }
 
-  if (opt.jsonOut) {
-    std::ofstream out(*opt.jsonOut);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write json '" + *opt.jsonOut + "'");
-    out << json::serialize(verify::reportJson(net, result), 1) << '\n';
-    checkStreamWrite(out, "json '" + *opt.jsonOut + "'");
-    std::cout << "report written to " << *opt.jsonOut << '\n';
+  if (const std::string* path = a.get("--json")) {
+    writeFile(*path, "json", jsonText(verify::reportJson(net, result)));
+    std::cout << "report written to " << *path << '\n';
   }
-  if (opt.sarifOut) {
-    std::ofstream out(*opt.sarifOut);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write sarif '" + *opt.sarifOut + "'");
-    const std::string artifact =
-        opt.positional[0] == "-" ? "<stdin>" : opt.positional[0];
-    out << json::serialize(verify::sarifReport(net, result, artifact), 1)
-        << '\n';
-    checkStreamWrite(out, "sarif '" + *opt.sarifOut + "'");
-    std::cout << "sarif written to " << *opt.sarifOut << '\n';
+  if (const std::string* path = a.get("--sarif")) {
+    writeFile(*path, "sarif",
+              jsonText(verify::sarifReport(net, result, artifactName(a))));
+    std::cout << "sarif written to " << *path << '\n';
   }
   return s.unknownCells() == 0 ? 0 : 1;
 }
 
-int dispatch(const Options& opt) {
-  if (opt.command == "info") return cmdInfo(opt);
-  if (opt.command == "dot") return cmdDot(opt);
-  if (opt.command == "tree") return cmdTree(opt);
-  if (opt.command == "analyze") return cmdAnalyze(opt);
-  if (opt.command == "harden") return cmdHarden(opt);
-  if (opt.command == "access") return cmdAccess(opt);
-  if (opt.command == "diagnose") return cmdDiagnose(opt);
-  if (opt.command == "campaign") return cmdCampaign(opt);
-  if (opt.command == "bench") return cmdBench(opt);
-  if (opt.command == "lint") return cmdLint(opt);
-  if (opt.command == "certify") return cmdCertify(opt);
-  usage();
+const std::vector<Command>& commands() {
+  static const std::vector<Command> kCommands = {
+      {"info", "<netlist>", "network statistics + series-parallel check", {},
+       cmdInfo},
+      {"dot", "<netlist>", "Graphviz DOT of the scan graph", {}, cmdDot},
+      {"tree", "<netlist>", "annotated decomposition tree",
+       {"--spec file", api::kSeed}, cmdTree},
+      {"analyze", "<netlist>", "criticality report (top k)",
+       {"--spec file", api::kSeed, api::kTop, "--no-lint"}, cmdAnalyze},
+      {"harden", "<netlist>", "SPEA-2 Pareto front + hardening plans",
+       {"--spec file", api::kSeed, api::kGenerations, api::kPopulation,
+        "--plan-out file", "--no-lint"},
+       cmdHarden},
+      {"access", "<netlist> <instrument>",
+       "retarget a read and print its CSU patterns, optionally under F",
+       {"--fault F"}, cmdAccess},
+      {"diagnose", "<netlist>",
+       "diagnose the injected fault F with the fault dictionary",
+       {"--fault F"}, cmdDiagnose},
+      {"campaign", "<netlist>",
+       "fault-injection campaign (single, --pairs or --transient faults), "
+       "cross-validated against the structural oracles",
+       {"--pairs", "--transient", "--transient-rounds N,...", api::kSample,
+        "--sample-fraction F", api::kSeed, api::kDeadlineMs,
+        "--checkpoint file", api::kBatch, api::kMaxReroutes, "--no-reroute",
+        "--csv file", "--json file", "--no-lint"},
+       cmdCampaign},
+      {"bench", "<netlist>", "print the network as netlist text", {},
+       cmdBench},
+      {"lint", "<netlist>", "rrsn_lint findings (exit 1 on an error)",
+       {"--spec file", "--plan file", "--json file", "--sarif file"},
+       cmdLint},
+      {"certify", "<netlist>",
+       "certify every instrument under every single fault outside the "
+       "--plan (exit 1 on an Unknown verdict)",
+       {"--plan file", api::kTop, "--json file", "--sarif file", "--no-lint"},
+       cmdCertify},
+  };
+  return kCommands;
 }
 
 /// Writes the requested trace / metrics exports and a timing summary to
 /// stderr (stdout carries the command's result and must stay identical
 /// with and without profiling).
-void exportObservability(const Options& opt) {
-  if (!opt.traceOut && !opt.metricsOut && !obs::enabled()) return;
+void exportObservability(const Args& a) {
+  const std::string* tracePath = a.get("--trace");
+  const std::string* metricsPath = a.get("--metrics");
+  if (!tracePath && !metricsPath && !obs::enabled()) return;
   const obs::Snapshot snap = obs::snapshot();
-  if (opt.traceOut) {
-    std::ofstream out(*opt.traceOut, std::ios::binary);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write trace '" + *opt.traceOut + "'");
-    out << obs::traceEventJson(snap) << '\n';
-    checkStreamWrite(out, "trace '" + *opt.traceOut + "'");
-    std::cerr << "trace written to " << *opt.traceOut << '\n';
+  if (tracePath) {
+    writeFile(*tracePath, "trace", obs::traceEventJson(snap) + '\n');
+    std::cerr << "trace written to " << *tracePath << '\n';
   }
-  if (opt.metricsOut) {
-    std::ofstream out(*opt.metricsOut, std::ios::binary);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write metrics '" + *opt.metricsOut + "'");
-    out << json::serialize(obs::metricsJson(snap), 1) << '\n';
-    checkStreamWrite(out, "metrics '" + *opt.metricsOut + "'");
-    std::cerr << "metrics written to " << *opt.metricsOut << '\n';
+  if (metricsPath) {
+    writeFile(*metricsPath, "metrics", jsonText(obs::metricsJson(snap)));
+    std::cerr << "metrics written to " << *metricsPath << '\n';
   }
-  if (opt.traceOut || opt.metricsOut)
+  if (tracePath || metricsPath)
     std::cerr << obs::summaryTable(snap).render();
   obs::raiseIfError(obs::checkSpanBalance());
 }
@@ -693,14 +630,20 @@ int main(int argc, char** argv) {
   // process; the flush check below turns that into a typed error.
   rrsn::io::ignoreSigpipe();
   try {
-    const Options opt = parseArgs(argc, argv);
-    if (opt.traceOut || opt.metricsOut) obs::enable();
-    const int code = dispatch(opt);
+    if (argc < 3) usage();
+    const auto& table = commands();
+    const auto cmd = std::find_if(
+        table.begin(), table.end(),
+        [&](const Command& c) { return c.name == argv[1]; });
+    if (cmd == table.end()) usage(std::string("unknown command ") + argv[1]);
+    const Args args = parseArgs(*cmd, argc, argv);
+    if (args.has("--trace") || args.has("--metrics")) obs::enable();
+    const int code = cmd->run(args);
     std::cout.flush();
     if (!std::cout) {
       throw rrsn::IoError("stdout write failed (consumer closed the pipe?)");
     }
-    exportObservability(opt);
+    exportObservability(args);
     return code;
   } catch (const rrsn::UsageError& e) {
     std::cerr << "error: " << e.what() << '\n' << usageText();
