@@ -44,18 +44,20 @@ BatchedSyndromeEngine::BatchedSyndromeEngine(const rsn::Network& net)
 
 BatchedSyndromeEngine::BatchedSyndromeEngine(
     std::shared_ptr<const rsn::FlatNetwork> flat)
-    : cv_(sim::ControlView::project(std::move(flat))),
-      instruments_(cv_.instrumentVertex.size()) {
+    : flat_(std::move(flat)) {
+  RRSN_CHECK(flat_ != nullptr, "cannot build an engine on a null flat view");
+  instruments_ = flat_->instrumentCount();
+  const std::size_t vertices = flat_->vertexCount();
   scratch_.resize(threadCount());
   for (Scratch& s : scratch_) {
-    s.sel.assign(cv_.selWordCount, 0);
-    s.inStrict = DynamicBitset(cv_.vertexCount);
-    s.outStrict = DynamicBitset(cv_.vertexCount);
-    s.inRead = DynamicBitset(cv_.vertexCount);
-    s.outWrite = DynamicBitset(cv_.vertexCount);
-    s.cleanToOut = DynamicBitset(cv_.vertexCount);
-    s.cleanFromB = DynamicBitset(cv_.vertexCount);
-    s.bwdFromB = DynamicBitset(cv_.vertexCount);
+    s.sel.assign(flat_->selWordCount(), 0);
+    s.inStrict = DynamicBitset(vertices);
+    s.outStrict = DynamicBitset(vertices);
+    s.inRead = DynamicBitset(vertices);
+    s.outWrite = DynamicBitset(vertices);
+    s.cleanToOut = DynamicBitset(vertices);
+    s.cleanFromB = DynamicBitset(vertices);
+    s.bwdFromB = DynamicBitset(vertices);
   }
 }
 
@@ -66,12 +68,15 @@ void BatchedSyndromeEngine::sweep(bool forward, const std::uint64_t* sel,
   // Edges are walked source-side in top-down steps and target-side in
   // bottom-up sweeps; the annotation of a row entry always describes
   // the original edge, so admissibility reads the same from both sides.
-  const auto& outOff = forward ? cv_.fwdOffsets : cv_.bwdOffsets;
-  const auto& outEdges = forward ? cv_.fwdEdges : cv_.bwdEdges;
-  const auto& inOff = forward ? cv_.bwdOffsets : cv_.fwdOffsets;
-  const auto& inEdges = forward ? cv_.bwdEdges : cv_.fwdEdges;
-  if (source == graph::kNoVertex) source = forward ? cv_.scanIn : cv_.scanOut;
-  const std::size_t vertices = cv_.vertexCount;
+  const rsn::FlatNetwork& flat = *flat_;
+  const auto outOff = forward ? flat.fwdOffsets() : flat.bwdOffsets();
+  const auto outEdges = forward ? flat.fwdEdges() : flat.bwdEdges();
+  const auto inOff = forward ? flat.bwdOffsets() : flat.fwdOffsets();
+  const auto inEdges = forward ? flat.bwdEdges() : flat.fwdEdges();
+  const auto ctrlReg = flat.ctrlRegVertex();
+  if (source == graph::kNoVertex)
+    source = forward ? flat.scanIn() : flat.scanOut();
+  const std::size_t vertices = flat.vertexCount();
   const auto outDeg = [&](graph::VertexId v) {
     return static_cast<std::size_t>(outOff[v + 1] - outOff[v]);
   };
@@ -108,11 +113,11 @@ void BatchedSyndromeEngine::sweep(bool forward, const std::uint64_t* sel,
                 static_cast<std::size_t>(__builtin_ctzll(unvisited)));
             unvisited &= unvisited - 1;
             if (!tolerate && u == brokenV) continue;
-            if (avoidCtrlRegs && cv_.ctrlRegVertex[u] != 0) continue;
+            if (avoidCtrlRegs && ctrlReg[u] != 0) continue;
             for (std::uint32_t i = inOff[u]; i < inOff[u + 1]; ++i) {
-              const sim::ControlView::Edge& e = inEdges[i];
+              const rsn::FlatNetwork::Edge& e = inEdges[i];
               if (!visited.test(e.other)) continue;
-              if (!cv_.edgeOpen(e, sel)) continue;
+              if (!flat.edgeOpen(e, sel)) continue;
               visited.set(u);
               s.next.push_back(u);
               nextScout += outDeg(u);
@@ -133,13 +138,13 @@ void BatchedSyndromeEngine::sweep(bool forward, const std::uint64_t* sel,
     std::size_t nextScout = 0;
     for (const graph::VertexId v : s.queue) {
       for (std::uint32_t i = outOff[v]; i < outOff[v + 1]; ++i) {
-        const sim::ControlView::Edge& e = outEdges[i];
+        const rsn::FlatNetwork::Edge& e = outEdges[i];
         const graph::VertexId u = e.other;
         // v is visited, hence never the broken vertex when !tolerate.
         if (visited.test(u)) continue;
         if (!tolerate && u == brokenV) continue;
-        if (avoidCtrlRegs && cv_.ctrlRegVertex[u] != 0) continue;
-        if (!cv_.edgeOpen(e, sel)) continue;
+        if (avoidCtrlRegs && ctrlReg[u] != 0) continue;
+        if (!flat.edgeOpen(e, sel)) continue;
         visited.set(u);
         s.next.push_back(u);
         nextScout += outDeg(u);
@@ -161,20 +166,26 @@ void BatchedSyndromeEngine::runFixpoint(const fault::Fault* f,
   const std::uint32_t stuckMux =
       f != nullptr && f->kind == fault::FaultKind::MuxStuck ? f->prim
                                                            : rsn::kNone;
+  const rsn::FlatNetwork& flat = *flat_;
+  const auto ctrlMuxes = flat.ctrlMuxes();
+  const auto muxCtrlVertex = flat.muxCtrlVertex();
+  const auto muxArity = flat.muxArity();
+  const auto selOffset = flat.selOffset();
+  const auto representable = flat.representableWords();
   for (;;) {
     sweep(/*forward=*/true, s.sel.data(), /*tolerate=*/false, brokenV,
           graph::kNoVertex, /*avoidCtrlRegs=*/false, s.inStrict, s);
     bool changed = false;
-    for (const std::uint32_t m : cv_.ctrlMuxes) {
+    for (const std::uint32_t m : ctrlMuxes) {
       if (m == stuckMux) continue;
-      const bool ctrlReach = s.inStrict.test(cv_.muxCtrlVertex[m]);
-      const std::uint32_t off = cv_.selOffset[m];
+      const bool ctrlReach = s.inStrict.test(muxCtrlVertex[m]);
+      const std::uint32_t off = selOffset[m];
       const std::size_t words =
-          (static_cast<std::size_t>(cv_.muxArity[m]) + 63) / 64;
+          (static_cast<std::size_t>(muxArity[m]) + 63) / 64;
       for (std::size_t w = 0; w < words; ++w) {
         // Reachable: keep the representable branches.  Unreachable:
         // keep only the reset branch.  Branch 0 is never cleared.
-        const std::uint64_t mask = ctrlReach ? cv_.representableWords[off + w]
+        const std::uint64_t mask = ctrlReach ? representable[off + w]
                                              : (w == 0 ? 1ULL : 0ULL);
         const std::uint64_t next = s.sel[off + w] & mask;
         if (next != s.sel[off + w]) {
@@ -192,8 +203,9 @@ void BatchedSyndromeEngine::emitInto(Syndrome& row, const DynamicBitset& inRead,
                                      const DynamicBitset& inStrict,
                                      const DynamicBitset& outWrite,
                                      graph::VertexId brokenV) const {
+  const auto instrumentVertex = flat_->instrumentVertex();
   for (std::size_t i = 0; i < instruments_; ++i) {
-    const graph::VertexId v = cv_.instrumentVertex[i];
+    const graph::VertexId v = instrumentVertex[i];
     if (v == brokenV) continue;  // the instrument's own segment is dead
     if (inRead.test(v) && outStrict.test(v)) row.passed.set(2 * i);
     if (inStrict.test(v) && outWrite.test(v)) row.passed.set(2 * i + 1);
@@ -204,15 +216,18 @@ Syndrome BatchedSyndromeEngine::row(const fault::Fault* f,
                                     std::size_t worker) const {
   RRSN_CHECK(worker < scratch_.size(), "worker lane out of range");
   Scratch& s = scratch_[worker];
+  const rsn::FlatNetwork& flat = *flat_;
+  // Rejects a fault site the arena does not have before anything
+  // indexes by it.
+  fault::baseSelectable(flat, f, s.sel.data());
   const bool isBreak =
       f != nullptr && f->kind == fault::FaultKind::SegmentBreak;
   const graph::VertexId brokenV =
-      isBreak ? cv_.segmentVertex[f->prim] : graph::kNoVertex;
+      isBreak ? flat.segmentVertex()[f->prim] : graph::kNoVertex;
 
   Syndrome syn;
   syn.passed = DynamicBitset(2 * instruments_);
 
-  cv_.baseSelectable(f, s.sel.data());
   runFixpoint(f, brokenV, s);
   sweep(/*forward=*/false, s.sel.data(), /*tolerate=*/false, brokenV,
         graph::kNoVertex, /*avoidCtrlRegs=*/false, s.outStrict, s);
@@ -243,7 +258,7 @@ Syndrome BatchedSyndromeEngine::row(const fault::Fault* f,
   sweep(/*forward=*/false, s.sel.data(), /*tolerate=*/true, brokenV,
         graph::kNoVertex, /*avoidCtrlRegs=*/false, s.outWrite, s);
 
-  if (!cv_.segmentControlsMux(f->prim)) {
+  if (!flat.segmentControlsMux(f->prim)) {
     // Clean-suffix mode: configuration CSUs may run with the break
     // exposed as long as no mux address register lies downstream of it
     // on the path — the X smeared over the downstream cells is then
@@ -267,7 +282,7 @@ Syndrome BatchedSyndromeEngine::row(const fault::Fault* f,
     }
     if (writeSuffixOk || readPrefixOk) {
       for (std::size_t i = 0; i < instruments_; ++i) {
-        const graph::VertexId v = cv_.instrumentVertex[i];
+        const graph::VertexId v = flat.instrumentVertex()[i];
         if (v == brokenV) continue;
         if (readPrefixOk && s.cleanFromB.test(v) && s.cleanToOut.test(v))
           syn.passed.set(2 * i);
@@ -283,7 +298,7 @@ Syndrome BatchedSyndromeEngine::row(const fault::Fault* f,
   // so nothing poisoned is ever consulted.  Re-running the fixpoint
   // re-shrinks branches whose control register the narrower demand set
   // no longer reaches.
-  cv_.limitDemandDepth(cv_.segDepth[f->prim], s.sel.data());
+  flat.limitDemandDepth(flat.segDepth()[f->prim], s.sel.data());
   runFixpoint(f, brokenV, s);
   sweep(/*forward=*/false, s.sel.data(), /*tolerate=*/false, brokenV,
         graph::kNoVertex, /*avoidCtrlRegs=*/false, s.outStrict, s);

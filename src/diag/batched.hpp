@@ -1,7 +1,7 @@
 // Batched syndrome rows via frontier traversal: the reference engine.
 //
-// This engine lowers the network once into a flat control view
-// (sim::ControlView) and derives a fault's *entire* syndrome row from a
+// This engine reads the flat arena (rsn::FlatNetwork) and derives a
+// fault's *entire* syndrome row from a
 // handful of whole-graph reachability sweeps: forward from scan-in and
 // backward from scan-out, under the fault's selectable-branch sets,
 // with an optional shrinking fixpoint that drops mux branches whose
@@ -42,7 +42,6 @@
 #include "fault/fault.hpp"
 #include "rsn/flat.hpp"
 #include "rsn/network.hpp"
-#include "sim/control_view.hpp"
 #include "support/bitset.hpp"
 
 namespace rrsn::diag {
@@ -114,7 +113,7 @@ class BatchedSyndromeEngine {
                 const DynamicBitset& outStrict, const DynamicBitset& inStrict,
                 const DynamicBitset& outWrite, graph::VertexId brokenV) const;
 
-  sim::ControlView cv_;
+  std::shared_ptr<const rsn::FlatNetwork> flat_;
   std::size_t instruments_ = 0;
   mutable std::vector<Scratch> scratch_;
 };

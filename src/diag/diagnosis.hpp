@@ -66,7 +66,7 @@ class FaultDictionary {
   /// row is Unknown.  RRSN_CERTIFY_MODE=checked replays the rows
   /// through the batched reference engine as the certifier runs.  The
   /// certifier fans the universe out over the process thread pool
-  /// (RRSN_THREADS / RRSN_GRAIN) with slot-per-fault placement, so the
+  /// (RRSN_THREADS) with slot-per-fault placement, so the
   /// dictionary is byte-identical for any thread count.
   static FaultDictionary build(const rsn::Network& net);
 

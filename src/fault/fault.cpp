@@ -15,6 +15,34 @@ rsn::PrimitiveRef refOf(const Fault& f) {
           f.prim};
 }
 
+void baseSelectable(const rsn::FlatNetwork& flat, const Fault* f,
+                    std::uint64_t* sel) {
+  const auto muxArity = flat.muxArity();
+  const auto selOffset = flat.selOffset();
+  if (f != nullptr && f->kind == FaultKind::SegmentBreak)
+    RRSN_CHECK(f->prim < flat.segmentCount(), "broken segment out of range");
+  if (f != nullptr && f->kind == FaultKind::MuxStuck) {
+    RRSN_CHECK(f->prim < flat.muxCount(), "stuck mux out of range");
+    RRSN_CHECK(f->stuckBranch < muxArity[f->prim],
+               "stuck branch out of range");
+  }
+  for (std::size_t m = 0; m < muxArity.size(); ++m) {
+    // Every word full, except the last keeps bits [0, arity % 64).
+    const std::uint32_t arity = muxArity[m];
+    const std::size_t words = (static_cast<std::size_t>(arity) + 63) / 64;
+    for (std::size_t w = 0; w < words; ++w)
+      sel[selOffset[m] + w] = w + 1 < words || arity % 64 == 0
+                                  ? ~0ULL
+                                  : (1ULL << (arity % 64)) - 1;
+  }
+  if (f != nullptr && f->kind == FaultKind::MuxStuck) {
+    const std::uint32_t m = f->prim;
+    const std::size_t words = (static_cast<std::size_t>(muxArity[m]) + 63) / 64;
+    for (std::size_t w = 0; w < words; ++w) sel[selOffset[m] + w] = 0;
+    sel[selOffset[m] + (f->stuckBranch >> 6)] = 1ULL << (f->stuckBranch & 63);
+  }
+}
+
 FaultUniverse::FaultUniverse(const rsn::Network& net) : net_(&net) {
   muxArity_.assign(net.muxes().size(), 0);
   net.structure().preOrder([&](rsn::NodeId id) {

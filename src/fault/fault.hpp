@@ -11,9 +11,11 @@
 // bypass branch).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "rsn/flat.hpp"
 #include "rsn/network.hpp"
 
 namespace rrsn::fault {
@@ -42,6 +44,14 @@ std::string describe(const rsn::Network& net, const Fault& f);
 /// The faulty primitive as a typed reference (Segment for breaks, Mux
 /// for stucks) — the key for hardening masks and linear-id lookups.
 rsn::PrimitiveRef refOf(const Fault& f);
+
+/// Fills `sel` (flat.selWordCount() words in the arena's selectable
+/// layout) with the base selectable sets under `f` (nullptr =
+/// fault-free): every branch selectable, except a stuck mux which keeps
+/// only its stuck branch.  Throws Error when `f` names a segment, mux
+/// or branch the arena does not have.
+void baseSelectable(const rsn::FlatNetwork& flat, const Fault* f,
+                    std::uint64_t* sel);
 
 /// Enumerates the complete single-fault universe of a network: one
 /// SegmentBreak per segment and one MuxStuck per mux input branch.

@@ -43,11 +43,6 @@ const std::vector<RuleInfo>& ruleRegistry() {
        "criticality walks O(log n)",
        "flatten needless nesting (e.g. long sib-in-sib towers) so series "
        "chains can be rebalanced"},
-      {"ready.non-sp", Severity::Warning,
-       "the flat scan graph is two-terminal series-parallel, so no virtual "
-       "vertices are needed for analysis",
-       "restructure the reconvergent fan-out, or accept virtual-vertex "
-       "insertion (clones inflate criticality counts)"},
       {"sem.ctrl-downstream", Severity::Warning,
        "every explicit (non-SIB) control register precedes its mux in scan "
        "order, so one CSU cycle both writes and applies it",

@@ -1,8 +1,8 @@
 // rrsn_lint: static verification of RSN models.
 //
 // A multi-pass checker over the typed Network model — its primitive
-// tables and Structure tree — running a fixed registry of rules (only
-// ready.non-sp lowers the network, to reduce its flat scan graph):
+// tables and Structure tree — running a fixed registry of rules, none of
+// which lowers the network:
 //
 //   * structural  — scan-path/control problems: control deadlock cycles,
 //     control registers too narrow for their mux, segments that no
@@ -11,10 +11,9 @@
 //   * semantic    — modeling smells: unconstrained (TAP-steered) muxes,
 //     shared control registers, control registers serially behind the
 //     mux they steer, orphan wires;
-//   * readiness   — analysis preconditions: non-SP regions that would
-//     force virtual-vertex insertion, decomposition-tree depth blowups,
-//     criticality specs with zero or non-dominant weights, hardened-set
-//     references to unknown primitives.
+//   * readiness   — analysis preconditions: decomposition-tree depth
+//     blowups, criticality specs with zero or non-dominant weights,
+//     hardened-set references to unknown primitives.
 //
 // Every finding carries a stable rule id, a severity, the source line of
 // its subject (when the netlist parser's NetlistSources side-table is
@@ -84,10 +83,6 @@ struct LintOptions {
   const rsn::NetlistSources* sources = nullptr;
   /// Only run error-severity rules (the fail-fast configuration).
   bool errorsOnly = false;
-  /// Skip the SP-recognition pass above this many flat-graph vertices
-  /// (the reduction is near-linear but not worth it on multi-100k-vertex
-  /// networks, which are SP by construction anyway).
-  std::size_t spCheckVertexCap = 50'000;
 };
 
 /// Outcome of a lint run: findings in deterministic order plus counts.

@@ -1,7 +1,8 @@
 // The model-level passes of rrsn_lint: every rule that inspects a
-// validated Network, its lowered scan graph, or its decomposition tree.
-// Only ready.non-sp needs the scan graph, so the error-severity
-// (fail-fast) passes read the Network and its Structure tree alone.
+// validated Network, its Structure tree, or its decomposition tree.
+// No pass lowers the network: the netlist grammar and NetworkBuilder
+// compose only series and parallel parts, so the scan graph is
+// series-parallel by construction and there is nothing to check on it.
 //
 // All passes are single-threaded and deterministic: they iterate the
 // dense primitive/structure ids in ascending order, so two runs over the
@@ -17,9 +18,7 @@
 
 #include "lint/lint.hpp"
 #include "obs/obs.hpp"
-#include "rsn/flat.hpp"
 #include "sp/decomposition.hpp"
-#include "sp/sp_reduce.hpp"
 
 namespace rrsn::lint {
 namespace {
@@ -57,7 +56,6 @@ class Runner {
     checkStructureShape();
     checkConfusableNames();
     checkControlWiring();
-    checkSeriesParallelReadiness();
     checkTreeReadiness();
     if (opts_.spec != nullptr) checkSpec();
   }
@@ -388,23 +386,6 @@ class Runner {
                std::to_string(users[s].size()) +
                " muxes; they can only reconfigure together");
     }
-  }
-
-  // ---- ready.non-sp ----------------------------------------------------
-  void checkSeriesParallelReadiness() {
-    // The lowered graph has 2 + S + 2M vertices (flat.hpp numbering).
-    const std::size_t vertices =
-        2 + net_.segments().size() + 2 * net_.muxes().size();
-    if (vertices > opts_.spCheckVertexCap) return;
-    const auto flat = rsn::FlatNetwork::lower(net_);
-    const sp::SpCheck check = sp::checkSeriesParallel(
-        sp::digraphOf(*flat), flat->scanIn(), flat->scanOut());
-    if (check.isSeriesParallel) return;
-    emit("ready.non-sp", {},
-         "flat scan graph is not two-terminal series-parallel (" +
-             std::to_string(check.stuckVertices.size()) +
-             " vertices resist SP reduction); analysis will insert virtual "
-             "vertices");
   }
 
   // ---- ready.depth / sem.ctrl-downstream --------------------------------

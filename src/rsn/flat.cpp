@@ -679,6 +679,17 @@ graph::VertexId FlatNetwork::scanOut() const {
   return headerOf(base_).scanOut;
 }
 
+void FlatNetwork::limitDemandDepth(std::uint32_t maxDepth,
+                                   std::uint64_t* sel) const {
+  for (const std::uint32_t m : ctrlMuxes_) {
+    if (demandDepth_[m] <= maxDepth) continue;
+    const std::size_t words =
+        (static_cast<std::size_t>(muxArity_[m]) + 63) / 64;
+    for (std::size_t w = 0; w < words; ++w)
+      sel[selOffset_[m] + w] &= w == 0 ? 1ULL : 0ULL;
+  }
+}
+
 std::string toDot(const Network& net) {
   const auto flat = FlatNetwork::lower(net);
   const auto quote = [](const std::string& text) {

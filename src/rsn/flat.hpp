@@ -18,7 +18,7 @@
 //   * per-instrument: segment, vertex, damage weights (zero unless a
 //     CriticalitySpec is given at lowering time);
 //   * data graph: forward and transposed CSR adjacency whose edges carry
-//     the mux guard annotation (sim::ControlView projects these);
+//     the mux guard annotation;
 //   * control-dependency graph: CSR from each segment to the muxes it
 //     addresses;
 //   * per-vertex: control-register flag, owning mux.
@@ -58,7 +58,7 @@
 #include <string>
 #include <vector>
 
-#include "graph/digraph.hpp"
+#include "graph/vertex.hpp"
 #include "rsn/network.hpp"
 #include "rsn/spec.hpp"
 #include "support/io.hpp"
@@ -67,7 +67,7 @@
 namespace rrsn::rsn {
 
 /// Frozen flat view of one network.  Create with lower(); share by
-/// shared_ptr (consumers keep the arena alive through their projection).
+/// shared_ptr (consumers keep the arena alive by holding the pointer).
 class FlatNetwork {
  public:
   /// Read-only view into one arena section.
@@ -179,6 +179,8 @@ class FlatNetwork {
   /// Bit 0: SIB configuration register; bit 1: controls some mux.
   Span<std::uint8_t> segFlags() const { return segFlags_; }
   Span<graph::VertexId> segmentVertex() const { return segmentVertex_; }
+  /// CSU round in which the segment first joins the active path: the max
+  /// demandDepth over its guards, 0 for an always-on segment.
   Span<std::uint32_t> segDepth() const { return segDepth_; }
   /// Guard-set CSR: segment s owns guardPool[guardOffsets[s],
   /// guardOffsets[s + 1]) — sorted (mux, branch != 0) selections.
@@ -193,6 +195,9 @@ class FlatNetwork {
   Span<graph::VertexId> muxCtrlVertex() const { return muxCtrlVertex_; }
   Span<std::uint32_t> muxArity() const { return muxArity_; }
   Span<graph::VertexId> muxVertex() const { return muxVertex_; }
+  /// A non-reset demand on mux m is written in CSU round
+  /// demandDepth[m] - 1; TAP-steered muxes have depth 0, and cyclic
+  /// control dependencies saturate at kUnrealizableDepth.
   Span<std::uint32_t> demandDepth() const { return demandDepth_; }
   Span<std::uint32_t> selOffset() const { return selOffset_; }
   /// Branch-exit CSR: branch b of mux m exits at
@@ -204,6 +209,36 @@ class FlatNetwork {
   /// Per-mux address-representability masks in the selectable layout.
   Span<std::uint64_t> representableWords() const { return representableWords_; }
   std::size_t selWordCount() const { return representableWords_.size(); }
+
+  // ------------------------------------------------ selectable sets
+  // The accessibility engines keep per-fault selectable sets in caller-
+  // owned buffers of selWordCount() words: mux m owns words
+  // [selOffset[m], selOffset[m] + (muxArity[m] + 63) / 64), bit b =
+  // branch b selectable.
+
+  bool selectableBit(const std::uint64_t* sel, std::uint32_t mux,
+                     std::uint32_t branch) const {
+    return (sel[selOffset_[mux] + (branch >> 6)] >> (branch & 63)) & 1;
+  }
+
+  /// Guard admissibility of one edge under the given selectable sets.
+  bool edgeOpen(const Edge& e, const std::uint64_t* sel) const {
+    if (e.mux == kNone) return true;
+    for (std::uint32_t i = e.branchBegin; i < e.branchEnd; ++i)
+      if (selectableBit(sel, e.mux, branchPool_[i])) return true;
+    return false;
+  }
+
+  /// Clears the non-reset branches of every segment-controlled mux
+  /// whose demand would be written in a CSU round >= maxDepth, i.e.
+  /// keeps only the demands that are fully configured before round
+  /// maxDepth runs.  Shrink-only, so it composes with a control fixpoint.
+  void limitDemandDepth(std::uint32_t maxDepth, std::uint64_t* sel) const;
+
+  /// True iff some mux's address register is segment s.
+  bool segmentControlsMux(SegmentId s) const {
+    return (segFlags_[s] & kSegFlagControlsMux) != 0;
+  }
 
   // -------------------------------------------------- control graph
   /// Control-dependency CSR: segment s addresses the muxes

@@ -214,14 +214,6 @@ std::size_t threadCount() { return Pool::instance().threads(); }
 
 void setThreadCount(std::size_t n) { Pool::instance().resize(n); }
 
-std::size_t defaultGrain() {
-  static const std::size_t grain = [] {
-    static bool warned = false;
-    return envCountOr("RRSN_GRAIN", 16, 1, detail::kMaxGrain, &warned);
-  }();
-  return grain;
-}
-
 namespace detail {
 
 EnvParse parseEnvCount(const char* text, std::size_t fallback, std::size_t lo,
@@ -284,7 +276,7 @@ std::size_t chunkGrid(std::size_t n, std::size_t grain) {
   // dispatch overhead beats any parallel win; large inputs get enough
   // chunks for load balancing on any realistic machine.
   constexpr std::size_t kMaxChunks = 256;  // caps scheduling overhead
-  if (grain == 0) grain = defaultGrain();
+  if (grain == 0) grain = kDefaultGrain;
   if (n < 2 * grain) return 1;
   return std::min(kMaxChunks, n / grain);
 }

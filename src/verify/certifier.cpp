@@ -272,19 +272,21 @@ struct Certifier::Scratch {
   std::vector<std::uint8_t> obsMode, setMode;  ///< WitnessKind per inst
   std::uint32_t collapsedMux = rsn::kNone;
 
-  void init(const sim::ControlView& cv) {
-    sel.assign(cv.selWordCount, 0);
-    inStrict = DynamicBitset(cv.vertexCount);
-    outStrict = DynamicBitset(cv.vertexCount);
-    inRead = DynamicBitset(cv.vertexCount);
-    outWrite = DynamicBitset(cv.vertexCount);
-    cleanToOut = DynamicBitset(cv.vertexCount);
-    cleanFromB = DynamicBitset(cv.vertexCount);
-    bwdFromB = DynamicBitset(cv.vertexCount);
-    obs = DynamicBitset(cv.instrumentVertex.size());
-    set = DynamicBitset(cv.instrumentVertex.size());
-    obsMode.assign(cv.instrumentVertex.size(), 0);
-    setMode.assign(cv.instrumentVertex.size(), 0);
+  void init(const rsn::FlatNetwork& flat) {
+    const std::size_t vertices = flat.vertexCount();
+    const std::size_t instruments = flat.instrumentCount();
+    sel.assign(flat.selWordCount(), 0);
+    inStrict = DynamicBitset(vertices);
+    outStrict = DynamicBitset(vertices);
+    inRead = DynamicBitset(vertices);
+    outWrite = DynamicBitset(vertices);
+    cleanToOut = DynamicBitset(vertices);
+    cleanFromB = DynamicBitset(vertices);
+    bwdFromB = DynamicBitset(vertices);
+    obs = DynamicBitset(instruments);
+    set = DynamicBitset(instruments);
+    obsMode.assign(instruments, 0);
+    setMode.assign(instruments, 0);
   }
 };
 
@@ -294,7 +296,8 @@ Certifier::Certifier(const rsn::Network& net)
     : Certifier(rsn::FlatNetwork::lower(net)) {}
 
 Certifier::Certifier(std::shared_ptr<const rsn::FlatNetwork> flat)
-    : cv_(sim::ControlView::project(std::move(flat))) {
+    : flat_(std::move(flat)) {
+  RRSN_CHECK(flat_ != nullptr, "cannot certify a null flat view");
   buildBase();
 }
 
@@ -306,9 +309,12 @@ void Certifier::sweep(bool forward, const std::uint64_t* sel, bool tolerate,
   // optimizing hybrid BFS.  Both compute the same traversal-order-
   // independent closure, so the engines stay independent implementations
   // of one definition (the cross-check leans on exactly that).
-  const auto& outOff = forward ? cv_.fwdOffsets : cv_.bwdOffsets;
-  const auto& outEdges = forward ? cv_.fwdEdges : cv_.bwdEdges;
-  if (source == graph::kNoVertex) source = forward ? cv_.scanIn : cv_.scanOut;
+  const rsn::FlatNetwork& flat = *flat_;
+  const auto outOff = forward ? flat.fwdOffsets() : flat.bwdOffsets();
+  const auto outEdges = forward ? flat.fwdEdges() : flat.bwdEdges();
+  const auto ctrlReg = flat.ctrlRegVertex();
+  if (source == graph::kNoVertex)
+    source = forward ? flat.scanIn() : flat.scanOut();
   visited.clearAll();
   visited.set(source);
   queue.clear();
@@ -316,12 +322,12 @@ void Certifier::sweep(bool forward, const std::uint64_t* sel, bool tolerate,
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const graph::VertexId v = queue[head];
     for (std::uint32_t i = outOff[v]; i < outOff[v + 1]; ++i) {
-      const sim::ControlView::Edge& e = outEdges[i];
+      const rsn::FlatNetwork::Edge& e = outEdges[i];
       const graph::VertexId u = e.other;
       if (visited.test(u)) continue;
       if (!tolerate && u == brokenV) continue;
-      if (avoidCtrlRegs && cv_.ctrlRegVertex[u] != 0) continue;
-      if (!cv_.edgeOpen(e, sel)) continue;
+      if (avoidCtrlRegs && ctrlReg[u] != 0) continue;
+      if (!flat.edgeOpen(e, sel)) continue;
       visited.set(u);
       queue.push_back(u);
     }
@@ -340,21 +346,26 @@ bool Certifier::controlFixpoint(const fault::Fault* f, graph::VertexId brokenV,
   const std::uint32_t stuckMux =
       f != nullptr && f->kind == fault::FaultKind::MuxStuck ? f->prim
                                                            : rsn::kNone;
+  const rsn::FlatNetwork& flat = *flat_;
+  const auto ctrlMuxes = flat.ctrlMuxes();
+  const auto muxCtrlVertex = flat.muxCtrlVertex();
+  const auto muxArity = flat.muxArity();
+  const auto selOffset = flat.selOffset();
+  const auto representable = flat.representableWords();
   for (std::size_t iter = 0;; ++iter) {
     if (iter >= budget) return false;
     sweep(/*forward=*/true, sel, /*tolerate=*/false, brokenV,
           graph::kNoVertex, /*avoidCtrlRegs=*/false, inStrict, s.queue);
     bool changed = false;
-    for (const std::uint32_t m : cv_.ctrlMuxes) {
+    for (const std::uint32_t m : ctrlMuxes) {
       if (m == stuckMux) continue;
-      const bool ctrlReach = inStrict.test(cv_.muxCtrlVertex[m]);
-      const std::uint32_t off = cv_.selOffset[m];
+      const bool ctrlReach = inStrict.test(muxCtrlVertex[m]);
+      const std::uint32_t off = selOffset[m];
       const std::size_t words =
-          (static_cast<std::size_t>(cv_.muxArity[m]) + 63) / 64;
+          (static_cast<std::size_t>(muxArity[m]) + 63) / 64;
       for (std::size_t w = 0; w < words; ++w) {
-        const std::uint64_t mask = ctrlReach
-                                       ? cv_.representableWords[off + w]
-                                       : (w == 0 ? 1ULL : 0ULL);
+        const std::uint64_t mask = ctrlReach ? representable[off + w]
+                                             : (w == 0 ? 1ULL : 0ULL);
         const std::uint64_t next = sel[off + w] & mask;
         if (next != sel[off + w]) {
           sel[off + w] = next;
@@ -367,13 +378,21 @@ bool Certifier::controlFixpoint(const fault::Fault* f, graph::VertexId brokenV,
 }
 
 void Certifier::buildBase() {
-  const std::size_t vertices = cv_.vertexCount;
+  const rsn::FlatNetwork& flat = *flat_;
+  const std::size_t vertices = flat.vertexCount();
+  const graph::VertexId scanIn = flat.scanIn();
+  const graph::VertexId scanOut = flat.scanOut();
+  const auto fwdOffsets = flat.fwdOffsets();
+  const auto fwdEdges = flat.fwdEdges();
+  const auto bwdOffsets = flat.bwdOffsets();
+  const auto bwdEdges = flat.bwdEdges();
+  const auto instrumentVertex = flat.instrumentVertex();
   Scratch s;
-  s.init(cv_);
+  s.init(flat);
 
   // Fault-free fixpoint: final selectable sets + strict reaches.
-  sel0_.assign(cv_.selWordCount, 0);
-  cv_.baseSelectable(nullptr, sel0_.data());
+  sel0_.assign(flat.selWordCount(), 0);
+  fault::baseSelectable(flat, nullptr, sel0_.data());
   inStrict0_ = DynamicBitset(vertices);
   const bool converged =
       controlFixpoint(nullptr, graph::kNoVertex, sel0_.data(), inStrict0_, s,
@@ -384,9 +403,9 @@ void Certifier::buildBase() {
         graph::kNoVertex, graph::kNoVertex, /*avoidCtrlRegs=*/false,
         outStrict0_, s.queue);
 
-  accessible0_ = DynamicBitset(cv_.instrumentVertex.size());
-  for (std::size_t i = 0; i < cv_.instrumentVertex.size(); ++i) {
-    const graph::VertexId v = cv_.instrumentVertex[i];
+  accessible0_ = DynamicBitset(instrumentVertex.size());
+  for (std::size_t i = 0; i < instrumentVertex.size(); ++i) {
+    const graph::VertexId v = instrumentVertex[i];
     if (inStrict0_.test(v) && outStrict0_.test(v)) accessible0_.set(i);
   }
 
@@ -395,15 +414,15 @@ void Certifier::buildBase() {
   // subgraph, so one order serves both dominator passes.
   std::vector<std::uint32_t> indeg(vertices);
   for (std::size_t v = 0; v < vertices; ++v)
-    indeg[v] = cv_.bwdOffsets[v + 1] - cv_.bwdOffsets[v];
+    indeg[v] = bwdOffsets[v + 1] - bwdOffsets[v];
   std::vector<graph::VertexId> order;
   order.reserve(vertices);
   for (std::size_t v = 0; v < vertices; ++v)
     if (indeg[v] == 0) order.push_back(static_cast<graph::VertexId>(v));
   for (std::size_t head = 0; head < order.size(); ++head) {
     const graph::VertexId v = order[head];
-    for (std::uint32_t i = cv_.fwdOffsets[v]; i < cv_.fwdOffsets[v + 1]; ++i) {
-      const graph::VertexId u = cv_.fwdEdges[i].other;
+    for (std::uint32_t i = fwdOffsets[v]; i < fwdOffsets[v + 1]; ++i) {
+      const graph::VertexId u = fwdEdges[i].other;
       if (--indeg[u] == 0) order.push_back(u);
     }
   }
@@ -420,16 +439,16 @@ void Certifier::buildBase() {
   // One topo-ordered pass suffices on a DAG: every predecessor is
   // final before its successor is visited.
   idom_.assign(vertices, graph::kNoVertex);
-  idom_[cv_.scanIn] = cv_.scanIn;
+  idom_[scanIn] = scanIn;
   for (std::size_t k = 0; k < vertices; ++k) {
     const graph::VertexId v = order[k];
-    if (v == cv_.scanIn || !inStrict0_.test(v)) continue;
+    if (v == scanIn || !inStrict0_.test(v)) continue;
     graph::VertexId cand = graph::kNoVertex;
-    for (std::uint32_t i = cv_.bwdOffsets[v]; i < cv_.bwdOffsets[v + 1]; ++i) {
-      const sim::ControlView::Edge& e = cv_.bwdEdges[i];
+    for (std::uint32_t i = bwdOffsets[v]; i < bwdOffsets[v + 1]; ++i) {
+      const rsn::FlatNetwork::Edge& e = bwdEdges[i];
       const graph::VertexId u = e.other;
       if (!inStrict0_.test(u) || idom_[u] == graph::kNoVertex) continue;
-      if (!cv_.edgeOpen(e, sel0_.data())) continue;
+      if (!flat.edgeOpen(e, sel0_.data())) continue;
       cand = cand == graph::kNoVertex ? u : intersect(cand, u, idom_, topoIdx_);
     }
     idom_[v] = cand;
@@ -438,24 +457,24 @@ void Certifier::buildBase() {
   // Immediate post-dominators: the same pass on the transposed open
   // subgraph, rooted at scan-out, in reverse topological order.
   ipdom_.assign(vertices, graph::kNoVertex);
-  ipdom_[cv_.scanOut] = cv_.scanOut;
+  ipdom_[scanOut] = scanOut;
   for (std::size_t k = vertices; k-- > 0;) {
     const graph::VertexId v = order[k];
-    if (v == cv_.scanOut || !outStrict0_.test(v)) continue;
+    if (v == scanOut || !outStrict0_.test(v)) continue;
     graph::VertexId cand = graph::kNoVertex;
-    for (std::uint32_t i = cv_.fwdOffsets[v]; i < cv_.fwdOffsets[v + 1]; ++i) {
-      const sim::ControlView::Edge& e = cv_.fwdEdges[i];
+    for (std::uint32_t i = fwdOffsets[v]; i < fwdOffsets[v + 1]; ++i) {
+      const rsn::FlatNetwork::Edge& e = fwdEdges[i];
       const graph::VertexId u = e.other;
       if (!outStrict0_.test(u) || ipdom_[u] == graph::kNoVertex) continue;
-      if (!cv_.edgeOpen(e, sel0_.data())) continue;
+      if (!flat.edgeOpen(e, sel0_.data())) continue;
       cand =
           cand == graph::kNoVertex ? u : intersect(cand, u, ipdom_, rtopoIdx_);
     }
     ipdom_[v] = cand;
   }
 
-  domIntervals(idom_, cv_.scanIn, domTin_, domTout_);
-  domIntervals(ipdom_, cv_.scanOut, pdomTin_, pdomTout_);
+  domIntervals(idom_, scanIn, domTin_, domTout_);
+  domIntervals(ipdom_, scanOut, pdomTin_, pdomTout_);
 
   // Control-critical set: every vertex that dominates some reachable
   // control register.  A break off this set provably leaves the control
@@ -463,12 +482,12 @@ void Certifier::buildBase() {
   // register's last scan-in path).  Chains share suffixes, so each walk
   // stops at the first already-marked vertex.
   ctrlCritical_ = DynamicBitset(vertices);
-  for (const std::uint32_t m : cv_.ctrlMuxes) {
-    graph::VertexId v = cv_.muxCtrlVertex[m];
+  for (const std::uint32_t m : flat.ctrlMuxes()) {
+    graph::VertexId v = flat.muxCtrlVertex()[m];
     if (!inStrict0_.test(v)) continue;
     while (!ctrlCritical_.test(v)) {
       ctrlCritical_.set(v);
-      if (v == cv_.scanIn) break;
+      if (v == scanIn) break;
       v = idom_[v];
     }
   }
@@ -477,12 +496,13 @@ void Certifier::buildBase() {
   // to {b} flips no guard decision taken under the fault-free final
   // sets — then the per-fault fixpoint provably converges to the same
   // solution and the whole row equals the fault-free row.
-  const std::size_t muxes = cv_.muxArity.size();
-  stuckSafe_.assign(cv_.selWordCount, 0);
+  const auto muxArity = flat.muxArity();
+  const auto selOffset = flat.selOffset();
+  stuckSafe_.assign(flat.selWordCount(), 0);
   std::size_t maxWords = 0;
-  for (std::size_t m = 0; m < muxes; ++m) {
-    const std::uint32_t off = cv_.selOffset[m];
-    const std::size_t arity = cv_.muxArity[m];
+  for (std::size_t m = 0; m < muxArity.size(); ++m) {
+    const std::uint32_t off = selOffset[m];
+    const std::size_t arity = muxArity[m];
     const std::size_t words = (arity + 63) / 64;
     maxWords = std::max(maxWords, words);
     for (std::size_t w = 0; w < words; ++w) {
@@ -491,18 +511,18 @@ void Certifier::buildBase() {
     }
   }
   std::vector<std::uint64_t> poolWords(maxWords);
-  for (const sim::ControlView::Edge& e : cv_.fwdEdges) {
+  for (const rsn::FlatNetwork::Edge& e : fwdEdges) {
     if (e.mux == rsn::kNone) continue;
-    const std::uint32_t off = cv_.selOffset[e.mux];
+    const std::uint32_t off = selOffset[e.mux];
     const std::size_t words =
-        (static_cast<std::size_t>(cv_.muxArity[e.mux]) + 63) / 64;
+        (static_cast<std::size_t>(muxArity[e.mux]) + 63) / 64;
     std::fill(poolWords.begin(),
               poolWords.begin() + static_cast<std::ptrdiff_t>(words), 0);
     for (std::uint32_t i = e.branchBegin; i < e.branchEnd; ++i) {
-      const std::uint32_t b = cv_.branchPool[i];
+      const std::uint32_t b = flat.branchPool()[i];
       poolWords[b >> 6] |= 1ULL << (b & 63);
     }
-    const bool open0 = cv_.edgeOpen(e, sel0_.data());
+    const bool open0 = flat.edgeOpen(e, sel0_.data());
     for (std::size_t w = 0; w < words; ++w)
       stuckSafe_[off + w] &= open0 ? poolWords[w] : ~poolWords[w];
   }
@@ -520,18 +540,20 @@ bool Certifier::pdomAncestor(graph::VertexId a, graph::VertexId v) const {
 
 bool Certifier::tryFastRow(const fault::Fault& f,
                            std::uint16_t* rowCells) const {
-  const std::size_t instruments = cv_.instrumentVertex.size();
+  const rsn::FlatNetwork& flat = *flat_;
+  const auto instrumentVertex = flat.instrumentVertex();
+  const std::size_t instruments = instrumentVertex.size();
   if (f.kind == fault::FaultKind::SegmentBreak) {
     const rsn::SegmentId seg = f.prim;
-    const graph::VertexId v = cv_.segmentVertex[seg];
+    const graph::VertexId v = flat.segmentVertex()[seg];
     // A broken control register poisons its mux's address whenever the
     // region is walked (the clean-suffix carve-out), and a break that
     // dominates a reachable control register can shrink the fixpoint —
     // both need the slow tier.
-    if (cv_.segmentControlsMux(seg)) return false;
+    if (flat.segmentControlsMux(seg)) return false;
     if (ctrlCritical_.test(v)) return false;
     for (std::size_t i = 0; i < instruments; ++i) {
-      const graph::VertexId u = cv_.instrumentVertex[i];
+      const graph::VertexId u = instrumentVertex[i];
       if (u == v || !accessible0_.test(i)) continue;
       if (domAncestor(v, u) || pdomAncestor(v, u)) return false;
     }
@@ -539,7 +561,7 @@ bool Certifier::tryFastRow(const fault::Fault& f,
     // accessible instrument loses its strict path, so the oracle row
     // equals the fault-free row (breaks only ever shrink reaches).
     for (std::size_t i = 0; i < instruments; ++i) {
-      const graph::VertexId u = cv_.instrumentVertex[i];
+      const graph::VertexId u = instrumentVertex[i];
       if (u == v)
         rowCells[i] = packCell(Verdict::Vulnerable, WitnessKind::SelfFault,
                                Verdict::Vulnerable, WitnessKind::SelfFault);
@@ -559,7 +581,7 @@ bool Certifier::tryFastRow(const fault::Fault& f,
   // converse is *not* monotone: an unsafe stuck branch can also expand
   // accessibility, because the stuck mux is exempt from the fixpoint's
   // reset pinning; those rows go to the slow tier.)
-  const std::uint32_t off = cv_.selOffset[f.prim];
+  const std::uint32_t off = flat.selOffset()[f.prim];
   const std::uint32_t b = f.stuckBranch;
   if (((stuckSafe_[off + (b >> 6)] >> (b & 63)) & 1) == 0) return false;
   for (std::size_t i = 0; i < instruments; ++i) {
@@ -580,10 +602,12 @@ bool Certifier::analyzeRow(const fault::Fault& f, Scratch& s,
   // strict, then — for breaks at non-control segments — clean-suffix,
   // then depth-bounded, OR-ing per-instrument bits and recording the
   // first mode that proved each direction.
+  const rsn::FlatNetwork& flat = *flat_;
+  const auto instrumentVertex = flat.instrumentVertex();
+  const std::size_t instruments = instrumentVertex.size();
   const bool isBreak = f.kind == fault::FaultKind::SegmentBreak;
   const graph::VertexId brokenV =
-      isBreak ? cv_.segmentVertex[f.prim] : graph::kNoVertex;
-  const std::size_t instruments = cv_.instrumentVertex.size();
+      isBreak ? flat.segmentVertex()[f.prim] : graph::kNoVertex;
 
   s.obs.clearAll();
   s.set.clearAll();
@@ -593,7 +617,7 @@ bool Certifier::analyzeRow(const fault::Fault& f, Scratch& s,
             static_cast<std::uint8_t>(WitnessKind::None));
   s.collapsedMux = rsn::kNone;
 
-  cv_.baseSelectable(&f, s.sel.data());
+  fault::baseSelectable(flat, &f, s.sel.data());
   if (!controlFixpoint(&f, brokenV, s.sel.data(), s.inStrict, s, budget))
     return false;
 
@@ -601,11 +625,11 @@ bool Certifier::analyzeRow(const fault::Fault& f, Scratch& s,
   // branches relative to the fault-free solution.  (Recorded before the
   // depth-bounded stage shrinks the sets for its own reason.)  A stuck
   // mux's own pinning is the fault, not a collapse.
-  for (const std::uint32_t m : cv_.ctrlMuxes) {
+  for (const std::uint32_t m : flat.ctrlMuxes()) {
     if (!isBreak && m == f.prim) continue;
-    const std::uint32_t off = cv_.selOffset[m];
+    const std::uint32_t off = flat.selOffset()[m];
     const std::size_t words =
-        (static_cast<std::size_t>(cv_.muxArity[m]) + 63) / 64;
+        (static_cast<std::size_t>(flat.muxArity()[m]) + 63) / 64;
     for (std::size_t w = 0; w < words; ++w) {
       if ((sel0_[off + w] & ~s.sel[off + w]) != 0) {
         s.collapsedMux = m;
@@ -623,7 +647,7 @@ bool Certifier::analyzeRow(const fault::Fault& f, Scratch& s,
                         const DynamicBitset& inStrict,
                         const DynamicBitset& outWrite, WitnessKind mode) {
     for (std::size_t i = 0; i < instruments; ++i) {
-      const graph::VertexId v = cv_.instrumentVertex[i];
+      const graph::VertexId v = instrumentVertex[i];
       if (v == brokenV) continue;  // the instrument's own segment is dead
       if (inRead.test(v) && outStrict.test(v) && !s.obs.test(i)) {
         s.obs.set(i);
@@ -652,7 +676,7 @@ bool Certifier::analyzeRow(const fault::Fault& f, Scratch& s,
   sweep(/*forward=*/false, s.sel.data(), /*tolerate=*/true, brokenV,
         graph::kNoVertex, /*avoidCtrlRegs=*/false, s.outWrite, s.queue);
 
-  if (!cv_.segmentControlsMux(f.prim)) {
+  if (!flat.segmentControlsMux(f.prim)) {
     sweep(/*forward=*/false, s.sel.data(), /*tolerate=*/true, brokenV,
           graph::kNoVertex, /*avoidCtrlRegs=*/true, s.cleanToOut, s.queue);
     const bool writeSuffixOk = s.cleanToOut.test(brokenV);
@@ -667,7 +691,7 @@ bool Certifier::analyzeRow(const fault::Fault& f, Scratch& s,
     }
     if (writeSuffixOk || readPrefixOk) {
       for (std::size_t i = 0; i < instruments; ++i) {
-        const graph::VertexId v = cv_.instrumentVertex[i];
+        const graph::VertexId v = instrumentVertex[i];
         if (v == brokenV) continue;
         if (readPrefixOk && s.cleanFromB.test(v) && s.cleanToOut.test(v) &&
             !s.obs.test(i)) {
@@ -685,7 +709,7 @@ bool Certifier::analyzeRow(const fault::Fault& f, Scratch& s,
     }
   }
 
-  cv_.limitDemandDepth(cv_.segDepth[f.prim], s.sel.data());
+  flat.limitDemandDepth(flat.segDepth()[f.prim], s.sel.data());
   if (!controlFixpoint(&f, brokenV, s.sel.data(), s.inStrict, s, budget))
     return false;
   sweep(/*forward=*/false, s.sel.data(), /*tolerate=*/false, brokenV,
@@ -703,7 +727,7 @@ CertificationResult Certifier::run(const CertifyOptions& options) const {
   RRSN_OBS_SPAN("verify.certify");
   obs::count(kCertifyCalls);
 
-  const rsn::FlatNetwork& flat = *cv_.flat;
+  const rsn::FlatNetwork& flat = *flat_;
   const std::size_t segments = flat.segmentCount();
   const std::size_t muxes = flat.muxCount();
   const std::size_t instruments = flat.instrumentCount();
@@ -731,7 +755,7 @@ CertificationResult Certifier::run(const CertifyOptions& options) const {
           fault::Fault::segmentBreak(static_cast<rsn::SegmentId>(s)));
   for (std::size_t m = 0; m < muxes; ++m) {
     if (excluded(segments + m)) continue;
-    for (std::uint32_t b = 0; b < cv_.muxArity[m]; ++b)
+    for (std::uint32_t b = 0; b < flat.muxArity()[m]; ++b)
       result.universe.push_back(
           fault::Fault::muxStuck(static_cast<rsn::MuxId>(m), b));
   }
@@ -742,10 +766,10 @@ CertificationResult Certifier::run(const CertifyOptions& options) const {
 
   std::unique_ptr<diag::BatchedSyndromeEngine> oracle;
   if (options.crossCheck)
-    oracle = std::make_unique<diag::BatchedSyndromeEngine>(cv_.flat);
+    oracle = std::make_unique<diag::BatchedSyndromeEngine>(flat_);
 
   std::vector<Scratch> scratch(threadCount());
-  for (Scratch& s : scratch) s.init(cv_);
+  for (Scratch& s : scratch) s.init(flat);
 
   std::atomic<std::size_t> fastRows{0}, slowRows{0}, checkedRows{0};
   std::atomic<std::size_t> unknownCells{0};
@@ -774,10 +798,10 @@ CertificationResult Certifier::run(const CertifyOptions& options) const {
               result.collapsedMux[fi] = s.collapsedMux;
               const graph::VertexId brokenV =
                   f.kind == fault::FaultKind::SegmentBreak
-                      ? cv_.segmentVertex[f.prim]
+                      ? flat.segmentVertex()[f.prim]
                       : graph::kNoVertex;
               for (std::size_t i = 0; i < instruments; ++i) {
-                const graph::VertexId u = cv_.instrumentVertex[i];
+                const graph::VertexId u = flat.instrumentVertex()[i];
                 const auto vuln = [&]() -> WitnessKind {
                   if (u == brokenV) return WitnessKind::SelfFault;
                   if (!accessible0_.test(i)) return WitnessKind::Unreachable;

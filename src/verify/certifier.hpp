@@ -61,7 +61,6 @@
 #include "fault/fault.hpp"
 #include "rsn/flat.hpp"
 #include "rsn/network.hpp"
-#include "sim/control_view.hpp"
 #include "support/bitset.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
@@ -222,7 +221,7 @@ class Certifier {
   /// support::Error on cross-check divergence or malformed options.
   CertificationResult run(const CertifyOptions& options = {}) const;
 
-  const rsn::FlatNetwork& flat() const { return *cv_.flat; }
+  const rsn::FlatNetwork& flat() const { return *flat_; }
 
  private:
   struct Scratch;
@@ -254,7 +253,7 @@ class Certifier {
   bool domAncestor(graph::VertexId a, graph::VertexId v) const;
   bool pdomAncestor(graph::VertexId a, graph::VertexId v) const;
 
-  sim::ControlView cv_;
+  std::shared_ptr<const rsn::FlatNetwork> flat_;
 
   // ------------------------------------------------ fault-free base
   std::vector<std::uint64_t> sel0_;   ///< final fault-free selectable sets

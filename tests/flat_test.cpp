@@ -18,11 +18,11 @@
 #include "diag/batched.hpp"
 #include "diag/diagnosis.hpp"
 #include "fault/fault.hpp"
+#include "harden/fault_tolerant.hpp"
 #include "obs/obs.hpp"
 #include "rsn/example_networks.hpp"
 #include "rsn/flat.hpp"
 #include "rsn/netlist_io.hpp"
-#include "sp/sp_reduce.hpp"
 #include "support/parallel.hpp"
 #include "test_util.hpp"
 
@@ -156,9 +156,11 @@ TEST(FlatNetwork, LoweringInvariantsOnRandomNetworks) {
     };
     EXPECT_EQ(arcsOf(true), arcsOf(false));
 
-    // The sp helper's graph is a two-terminal DAG between the ports.
-    EXPECT_TRUE(graph::isTwoTerminalDag(sp::digraphOf(*flat), flat->scanIn(),
-                                        flat->scanOut()));
+    // Series and parallel parts lower to a two-terminal SP graph
+    // (Sec. III), also after the skip-mux augmentation.
+    EXPECT_TRUE(test::isTwoTerminalSp(*flat));
+    EXPECT_TRUE(test::isTwoTerminalSp(
+        *FlatNetwork::lower(harden::augmentFaultTolerant(net).network)));
   }
 }
 

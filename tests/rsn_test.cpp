@@ -7,7 +7,6 @@
 #include "rsn/flat.hpp"
 #include "rsn/netlist_io.hpp"
 #include "rsn/spec.hpp"
-#include "sp/sp_reduce.hpp"
 #include "test_util.hpp"
 
 namespace rrsn::rsn {
@@ -110,35 +109,67 @@ TEST(Builder, MuxNeedsTwoBranches) {
 
 // ------------------------------------------------------------ scan graph
 
+/// Vertices reachable from `start` over the arena's forward (or
+/// transposed) CSR, never entering `removed`.
+std::vector<bool> reach(const FlatNetwork& flat, graph::VertexId start,
+                        bool forward,
+                        graph::VertexId removed = graph::kNoVertex) {
+  const auto offsets = forward ? flat.fwdOffsets() : flat.bwdOffsets();
+  const auto edges = forward ? flat.fwdEdges() : flat.bwdEdges();
+  std::vector<bool> seen(flat.vertexCount(), false);
+  std::vector<graph::VertexId> work{start};
+  seen[start] = true;
+  while (!work.empty()) {
+    const graph::VertexId v = work.back();
+    work.pop_back();
+    for (std::uint32_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+      const graph::VertexId u = edges[e].other;
+      if (u == removed || seen[u]) continue;
+      seen[u] = true;
+      work.push_back(u);
+    }
+  }
+  return seen;
+}
+
 TEST(ScanGraph, Fig1GraphIsTwoTerminalDag) {
   const Network net = makeFig1Network();
   const auto flat = FlatNetwork::lower(net);
   // SI + SO + 7 segments + 4 muxes + 4 fan-outs = 17 vertices.
-  EXPECT_EQ(flat->vertexCount(), 17u);
-  EXPECT_TRUE(graph::isTwoTerminalDag(sp::digraphOf(*flat), flat->scanIn(),
-                                      flat->scanOut()));
+  const std::size_t V = flat->vertexCount();
+  EXPECT_EQ(V, 17u);
+  // Scan-in is the only source and scan-out the only sink, every vertex
+  // lies on a scan-in -> scan-out path, and no edge closes a cycle.
+  const auto fromIn = reach(*flat, flat->scanIn(), /*forward=*/true);
+  const auto toOut = reach(*flat, flat->scanOut(), /*forward=*/false);
+  for (graph::VertexId v = 0; v < V; ++v) {
+    EXPECT_EQ(flat->bwdOffsets()[v] == flat->bwdOffsets()[v + 1],
+              v == flat->scanIn()) << v;
+    EXPECT_EQ(flat->fwdOffsets()[v] == flat->fwdOffsets()[v + 1],
+              v == flat->scanOut()) << v;
+    EXPECT_TRUE(fromIn[v] && toOut[v]) << v;
+    for (std::uint32_t e = flat->fwdOffsets()[v]; e < flat->fwdOffsets()[v + 1];
+         ++e)
+      EXPECT_FALSE(reach(*flat, flat->fwdEdges()[e].other, true)[v]) << v;
+  }
 }
 
 TEST(ScanGraph, PaperFactM0DominatesC2) {
   // Sec. III: "Since all the paths through the segment c2 traverse the
-  // multiplexer m0, then m0 dominates c2" — on the reversed graph (data
-  // flows toward scan-out), i.e. m0 post-dominates c2.
+  // multiplexer m0, then m0 dominates c2" — toward scan-out, i.e. m0
+  // post-dominates c2: with m0's vertex removed, c2 cannot reach
+  // scan-out.
   const Network net = makeFig1Network();
   const auto flat = FlatNetwork::lower(net);
-  const graph::Digraph g = sp::digraphOf(*flat);
-  graph::Digraph rev;
-  for (graph::VertexId v = 0; v < g.vertexCount(); ++v)
-    rev.addVertex(g.label(v));
-  for (graph::VertexId v = 0; v < g.vertexCount(); ++v)
-    for (graph::VertexId s : g.successors(v)) rev.addEdge(s, v);
-  const auto ipdom = graph::immediateDominators(rev, flat->scanOut());
   const auto c2 = flat->segmentVertex()[net.findSegment("c2")];
   const auto m0 = flat->muxVertex()[net.findMux("m0")];
   const auto m1 = flat->muxVertex()[net.findMux("m1")];
   const auto m2 = flat->muxVertex()[net.findMux("m2")];
-  EXPECT_TRUE(graph::dominates(ipdom, m0, c2));
+  EXPECT_TRUE(reach(*flat, flat->scanOut(), false)[c2]);
+  EXPECT_FALSE(reach(*flat, flat->scanOut(), false, m0)[c2]);
   // "The multiplexer m2 dominates m1":
-  EXPECT_TRUE(graph::dominates(ipdom, m2, m1));
+  EXPECT_TRUE(reach(*flat, flat->scanOut(), false)[m1]);
+  EXPECT_FALSE(reach(*flat, flat->scanOut(), false, m2)[m1]);
 }
 
 TEST(ScanGraph, MuxBranchExitsRecorded) {

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "rsn/example_networks.hpp"
-#include "rsn/flat.hpp"
 #include "sp/decomposition.hpp"
-#include "sp/sp_reduce.hpp"
 #include "test_util.hpp"
 
 namespace rrsn::sp {
@@ -115,80 +113,15 @@ TEST(Decomposition, AsciiAndDotRender) {
   EXPECT_NE(dot.find("lightblue"), std::string::npos);   // S vertices
 }
 
-// ------------------------------------------------------------- SP check
+// ------------------------------------------------- SP recognition
 
-TEST(SpReduce, Fig1GraphIsSeriesParallel) {
-  const rsn::Network net = makeFig1Network();
-  const auto flat = rsn::FlatNetwork::lower(net);
-  const SpCheck check =
-      checkSeriesParallel(digraphOf(*flat), flat->scanIn(), flat->scanOut());
-  EXPECT_TRUE(check.isSeriesParallel);
-  EXPECT_TRUE(check.stuckVertices.empty());
-}
-
-TEST(SpReduce, AllRandomNetworksAreSp) {
-  Rng rng(17);
-  for (int round = 0; round < 8; ++round) {
-    const rsn::Network net = test::randomNetwork(rng);
-    const auto flat = rsn::FlatNetwork::lower(net);
-    EXPECT_TRUE(checkSeriesParallel(digraphOf(*flat), flat->scanIn(),
-                                    flat->scanOut())
-                    .isSeriesParallel);
-  }
-}
-
-/// Wheatstone bridge: the canonical non-SP two-terminal DAG.
-graph::Digraph bridge(graph::VertexId& s, graph::VertexId& t) {
-  graph::Digraph g;
-  s = g.addVertex("s");
-  const auto a = g.addVertex("a");
-  const auto b = g.addVertex("b");
-  t = g.addVertex("t");
-  g.addEdge(s, a);
-  g.addEdge(s, b);
-  g.addEdge(a, b);  // the bridge edge
-  g.addEdge(a, t);
-  g.addEdge(b, t);
-  return g;
-}
-
-TEST(SpReduce, BridgeIsNotSp) {
-  graph::VertexId s, t;
-  const graph::Digraph g = bridge(s, t);
-  const SpCheck check = checkSeriesParallel(g, s, t);
-  EXPECT_FALSE(check.isSeriesParallel);
-  EXPECT_FALSE(check.stuckVertices.empty());
-}
-
-TEST(SpReduce, VirtualizationMakesBridgeSp) {
-  graph::VertexId s, t;
-  const graph::Digraph g = bridge(s, t);
-  const Virtualization virt = virtualizeToSp(g, s, t);
-  EXPECT_GT(virt.clonesAdded, 0u);
-  EXPECT_TRUE(
-      checkSeriesParallel(virt.graph, s, t).isSeriesParallel);
-  // Clones map back to original vertices.
-  for (graph::VertexId v = 0; v < virt.graph.vertexCount(); ++v)
-    EXPECT_LT(virt.originalOf[v], g.vertexCount());
-}
-
-TEST(SpReduce, VirtualizationIsIdentityOnSpGraphs) {
-  const rsn::Network net = makeFig1Network();
-  const auto flat = rsn::FlatNetwork::lower(net);
-  const graph::Digraph g = digraphOf(*flat);
-  const Virtualization virt =
-      virtualizeToSp(g, flat->scanIn(), flat->scanOut());
-  EXPECT_EQ(virt.clonesAdded, 0u);
-  EXPECT_EQ(virt.graph.vertexCount(), g.vertexCount());
-}
-
-TEST(SpReduce, RequiresTwoTerminalDag) {
-  graph::Digraph g;
-  const auto a = g.addVertex();
-  const auto b = g.addVertex();
-  g.addEdge(a, b);
-  g.addEdge(b, a);
-  EXPECT_THROW(checkSeriesParallel(g, a, b), Error);
+TEST(SeriesParallel, BridgeIsRejectedDiamondIsAccepted) {
+  // Wheatstone bridge s, a, b, t: the canonical non-SP two-terminal DAG.
+  const std::vector<test::Arc> bridge = {{0, 1}, {0, 2}, {1, 2}, {1, 3},
+                                         {2, 3}};
+  EXPECT_FALSE(test::isTwoTerminalSp(4, bridge, 0, 3));
+  const std::vector<test::Arc> diamond = {{0, 1}, {0, 2}, {1, 3}, {2, 3}};
+  EXPECT_TRUE(test::isTwoTerminalSp(4, diamond, 0, 3));
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 // Shared helpers for the test suite: a random hierarchical RSN generator
-// (for property tests comparing the fast analysis against the oracles)
-// and a random-spec shortcut.
+// (for property tests comparing the fast analysis against the oracles),
+// a random-spec shortcut and a series-parallel recognizer.
 #pragma once
 
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "graph/vertex.hpp"
 #include "rsn/builder.hpp"
+#include "rsn/flat.hpp"
 #include "rsn/network.hpp"
 #include "rsn/spec.hpp"
 #include "support/rng.hpp"
@@ -70,6 +75,58 @@ inline rsn::Network randomNetwork(Rng& rng, const RandomNetOptions& opt = {}) {
 /// Random spec with the paper's 70/70/10/10 recipe.
 inline rsn::CriticalitySpec randomSpecFor(const rsn::Network& net, Rng& rng) {
   return rsn::randomSpec(net, rsn::SpecOptions{}, rng);
+}
+
+using Arc = std::pair<graph::VertexId, graph::VertexId>;
+
+/// True iff the directed multigraph on vertices [0, vertices) is
+/// two-terminal series-parallel between source and sink (Def. 1): series
+/// reduction (splice out a vertex with one predecessor and one
+/// successor) and parallel reduction (merge duplicate edges), applied
+/// until neither fits, leave exactly the edge source -> sink.
+inline bool isTwoTerminalSp(std::size_t vertices, const std::vector<Arc>& edges,
+                            graph::VertexId source, graph::VertexId sink) {
+  // Sets merge parallel edges as they appear.
+  std::vector<std::set<graph::VertexId>> out(vertices), in(vertices);
+  for (const auto& [a, b] : edges) {
+    out[a].insert(b);
+    in[b].insert(a);
+  }
+  std::vector<bool> spliced(vertices, false);
+  std::vector<graph::VertexId> work;
+  for (graph::VertexId v = 0; v < vertices; ++v) work.push_back(v);
+  while (!work.empty()) {
+    const graph::VertexId v = work.back();
+    work.pop_back();
+    if (v == source || v == sink || spliced[v] || in[v].size() != 1 ||
+        out[v].size() != 1)
+      continue;
+    const graph::VertexId p = *in[v].begin();
+    const graph::VertexId s = *out[v].begin();
+    if (p == v || p == s) return false;  // a cycle
+    out[p].erase(v);
+    in[s].erase(v);
+    out[p].insert(s);
+    in[s].insert(p);
+    spliced[v] = true;
+    work.push_back(p);
+    work.push_back(s);
+  }
+  for (graph::VertexId v = 0; v < vertices; ++v)
+    if (!spliced[v] && v != source && v != sink) return false;
+  return in[source].empty() && out[sink].empty() &&
+         out[source] == std::set<graph::VertexId>{sink};
+}
+
+/// The same test on the forward CSR of a lowered network.
+inline bool isTwoTerminalSp(const rsn::FlatNetwork& flat) {
+  std::vector<Arc> edges;
+  for (graph::VertexId v = 0; v < flat.vertexCount(); ++v)
+    for (std::uint32_t e = flat.fwdOffsets()[v]; e < flat.fwdOffsets()[v + 1];
+         ++e)
+      edges.emplace_back(v, flat.fwdEdges()[e].other);
+  return isTwoTerminalSp(flat.vertexCount(), edges, flat.scanIn(),
+                         flat.scanOut());
 }
 
 }  // namespace rrsn::test

