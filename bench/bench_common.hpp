@@ -1,12 +1,14 @@
-// Helpers shared by the benchmark binaries: the per-row Table-I pipeline
-// (build network -> random spec -> criticality analysis -> SPEA-2 ->
-// solution extraction) and environment-variable knobs.
+// Helpers shared by the reproduction benches: the per-row Table-I
+// pipeline (build network -> random spec -> criticality analysis ->
+// SPEA-2 -> solution extraction) and strictly parsed environment knobs.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
+#include <iostream>
+#include <limits>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,158 +18,65 @@
 #include "harden/hardening.hpp"
 #include "moo/baselines.hpp"
 #include "moo/spea2.hpp"
-#include "obs/obs.hpp"
+#include "support/error.hpp"
+#include "support/strings.hpp"
 #include "support/timer.hpp"
 
 namespace rrsn::bench {
 
-inline std::string envOr(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::string(v) : fallback;
+/// Environment knobs.  An unset or empty knob takes its default; a
+/// malformed one stops the bench with exit status 2 and a message that
+/// names it, so a typo never runs a different experiment.
+[[noreturn]] inline void rejectKnob(const std::string& why) {
+  std::cerr << "error: " << why << '\n';
+  std::exit(2);
 }
 
-inline double envOrDouble(const char* name, double fallback) {
+inline const char* knob(const char* name) {
   const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::atof(v) : fallback;
+  return v != nullptr && *v != '\0' ? v : nullptr;
 }
 
 inline std::uint64_t envOrU64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0'
-             ? static_cast<std::uint64_t>(std::atoll(v))
-             : fallback;
+  const char* v = knob(name);
+  if (v == nullptr) return fallback;
+  try {
+    return parseUintBounded(v, name, 0,
+                            std::numeric_limits<std::uint64_t>::max());
+  } catch (const Error& e) {
+    rejectKnob(e.what());
+  }
 }
 
-/// Minimal streaming JSON writer for the machine-readable BENCH_*.json
-/// artifacts the benches emit next to their text tables, so the perf
-/// trajectory (stage timings, thread count, speedups) stays comparable
-/// across PRs without parsing ASCII tables.
-class JsonWriter {
- public:
-  explicit JsonWriter(std::ostream& os) : os_(os) {}
+/// A generation multiplier in (0, 100]; 1.0 is the paper's budget.
+inline double envScale(const char* name, double fallback) {
+  const char* v = knob(name);
+  if (v == nullptr) return fallback;
+  double scale = 0.0;
+  try {
+    scale = parseDouble(v, name);
+  } catch (const Error& e) {
+    rejectKnob(e.what());
+  }
+  if (!(scale > 0.0 && scale <= 100.0)) {  // also rejects nan
+    rejectKnob(std::string("invalid value for ") + name + ": '" + v +
+               "' is not a multiplier in (0, 100]");
+  }
+  return scale;
+}
 
-  JsonWriter& beginObject() {
-    prefix();
-    os_ << '{';
-    nested_.push_back(0);
-    return *this;
+/// One of `choices`.
+inline std::string envChoice(const char* name, const char* fallback,
+                             std::initializer_list<std::string_view> choices) {
+  const char* v = knob(name);
+  if (v == nullptr) return fallback;
+  std::string allowed;
+  for (const std::string_view c : choices) {
+    if (c == v) return v;
+    allowed += (allowed.empty() ? "" : "|") + std::string(c);
   }
-  JsonWriter& endObject() {
-    nested_.pop_back();
-    os_ << '}';
-    return *this;
-  }
-  JsonWriter& beginArray() {
-    prefix();
-    os_ << '[';
-    nested_.push_back(0);
-    return *this;
-  }
-  JsonWriter& endArray() {
-    nested_.pop_back();
-    os_ << ']';
-    return *this;
-  }
-
-  JsonWriter& key(std::string_view k) {
-    prefix();
-    quoted(k);
-    os_ << ':';
-    afterKey_ = true;
-    return *this;
-  }
-
-  JsonWriter& value(std::string_view v) {
-    prefix();
-    quoted(v);
-    return *this;
-  }
-  JsonWriter& value(const char* v) { return value(std::string_view(v)); }
-  JsonWriter& value(bool v) {
-    prefix();
-    os_ << (v ? "true" : "false");
-    return *this;
-  }
-  JsonWriter& value(double v) {
-    prefix();
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    os_ << buf;
-    return *this;
-  }
-  JsonWriter& value(std::uint64_t v) {
-    prefix();
-    os_ << v;
-    return *this;
-  }
-  JsonWriter& value(std::int64_t v) {
-    prefix();
-    os_ << v;
-    return *this;
-  }
-
-  template <typename T>
-  JsonWriter& kv(std::string_view k, const T& v) {
-    key(k);
-    return value(v);
-  }
-
- private:
-  void prefix() {
-    if (afterKey_) {
-      afterKey_ = false;
-      return;
-    }
-    if (!nested_.empty()) {
-      if (nested_.back() != 0) os_ << ',';
-      nested_.back() = 1;
-    }
-  }
-  void quoted(std::string_view s) {
-    os_ << '"';
-    for (char c : s) {
-      switch (c) {
-        case '"': os_ << "\\\""; break;
-        case '\\': os_ << "\\\\"; break;
-        case '\n': os_ << "\\n"; break;
-        case '\t': os_ << "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            os_ << buf;
-          } else {
-            os_ << c;
-          }
-      }
-    }
-    os_ << '"';
-  }
-
-  std::ostream& os_;
-  std::vector<char> nested_;  ///< per nesting level: element written yet?
-  bool afterKey_ = false;
-};
-
-/// Folds the current observability aggregates into a BENCH_*.json
-/// emitter as one "obs" object (counters, span totals in ns, drop and
-/// violation accounting).  No-op unless tracing is enabled (RRSN_TRACE=1
-/// or obs::enable()), so default bench output is unchanged.  The writer
-/// must be positioned inside an object, between members.
-inline void writeObsMetrics(JsonWriter& w) {
-  if (!obs::enabled()) return;
-  const obs::Snapshot snap = obs::snapshot();
-  w.key("obs").beginObject();
-  w.key("counters").beginObject();
-  for (const auto& [id, v] : snap.counters) w.kv(snap.names[id], v);
-  w.endObject();
-  w.key("span_total_ns").beginObject();
-  for (const auto& [id, s] : snap.spans) w.kv(snap.names[id], s.totalNs);
-  w.endObject();
-  w.kv("dropped_events", snap.droppedEvents);
-  w.kv("threads", snap.threadsSeen);
-  w.kv("violations", static_cast<std::uint64_t>(snap.violations.size()));
-  w.endObject();
+  rejectKnob(std::string("invalid value for ") + name + ": '" + v +
+             "' is not one of " + allowed);
 }
 
 /// Everything one Table-I row produces.

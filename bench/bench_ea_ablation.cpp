@@ -21,7 +21,7 @@
 int main() {
   using namespace rrsn;
   const std::uint64_t seed = bench::envOrU64("RRSN_SEED", 2022);
-  const double scale = bench::envOrDouble("RRSN_SCALE", 1.0);
+  const double scale = bench::envScale("RRSN_SCALE", 1.0);
 
   TextTable table({"Design", "optimizer", "evals", "hypervolume (norm.)",
                    "eps to best front", "min-cost sol (c, d)"});

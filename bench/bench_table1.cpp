@@ -14,9 +14,10 @@
 //                      small:  networks with <= 2,000 primitives
 //                      medium: networks with <= 160,000 primitives
 //                      all:    every row incl. the ~10^6-segment MBISTs
-//   RRSN_TABLE1_SCALE  generation multiplier (default 0.1; 1.0 = the
-//                      paper's full generation counts)
+//   RRSN_TABLE1_SCALE  generation multiplier in (0, 100] (default 0.1;
+//                      1.0 = the paper's full generation counts)
 //   RRSN_TABLE1_SEED   RNG seed (default 2022)
+// A malformed knob exits 2 with a message naming it.
 //
 // Absolute values differ from the paper (synthetic network instances,
 // unspecified cost scale — see EXPERIMENTS.md); the shape to check is:
@@ -29,10 +30,10 @@
 
 int main() {
   using namespace rrsn;
-  using bench::envOr;
 
-  const std::string set = envOr("RRSN_TABLE1_SET", "medium");
-  const double scale = bench::envOrDouble("RRSN_TABLE1_SCALE", 0.1);
+  const std::string set =
+      bench::envChoice("RRSN_TABLE1_SET", "medium", {"small", "medium", "all"});
+  const double scale = bench::envScale("RRSN_TABLE1_SCALE", 0.1);
   const std::uint64_t seed = bench::envOrU64("RRSN_TABLE1_SEED", 2022);
   const std::size_t primitiveCap = set == "small"    ? 2'000
                                    : set == "medium" ? 160'000

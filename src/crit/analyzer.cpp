@@ -163,8 +163,8 @@ CriticalityResult CriticalityAnalyzer::run() const {
   // fault universe with thread-count-independent results.  A single
   // fault costs well under a microsecond (O(tree depth)), so both loops
   // pass an explicit grain: networks below a few thousand primitives run
-  // serially — BENCH_scalability.json showed the pooled sweep *slower*
-  // than serial (0.48–1.07x) on every medium design because per-task
+  // serially — measured without it, the pooled sweep ran *slower* than
+  // serial (0.48–1.07x) on every medium MBIST design because per-task
   // dispatch overhead dominated the sub-millisecond total.
   // Segments: one break fault each; O(tree depth) per segment.
   {

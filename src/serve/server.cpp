@@ -1,10 +1,12 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <list>
 #include <map>
 #include <thread>
 #include <utility>
@@ -181,6 +183,7 @@ json::Value campaignReply(const Job& job) {
 }
 
 json::Value certifyReply(const Job& job) {
+  lint::enforceClean(*job.net, "certification");
   const verify::Certifier certifier(job.flat());
   verify::CertifyOptions co;
   co.fixpointBudget = job[api::kBudget];
@@ -474,28 +477,48 @@ Status Server::serveSocket(const std::string& path) {
     return Status::unavailable("cannot listen on " + path + ": " + why);
   }
 
-  std::vector<std::thread> workers;
+  // One thread per connection.  A finished connection's thread is
+  // joined on the next pass of the accept loop, so a long-lived daemon
+  // holds threads (and their stacks) only for the connections still open.
+  struct Worker {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Worker> workers;
+  const auto reap = [&workers](bool all) {
+    for (auto it = workers.begin(); it != workers.end();) {
+      if (!all && !it->done.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = workers.erase(it);
+    }
+  };
   while (!stopRequested()) {
+    reap(false);
     pollfd pfd{listener, POLLIN, 0};
     const int rc = ::poll(&pfd, 1, 200);  // wake periodically for stop_
     if (rc < 0) {
       if (errno == EINTR) continue;
       ::close(listener);
-      for (auto& w : workers) w.join();
+      reap(true);
       return Status::unavailable(std::string("poll() failed: ") +
                                  std::strerror(errno));
     }
     if (rc == 0) continue;
     const int conn = ::accept(listener, nullptr, nullptr);
     if (conn < 0) continue;
-    workers.emplace_back([this, conn] {
+    Worker& w = workers.emplace_back();
+    w.thread = std::thread([this, conn, &done = w.done] {
       (void)serveStream(conn, conn);
       ::close(conn);
+      done.store(true, std::memory_order_release);
     });
   }
   ::close(listener);
   ::unlink(path.c_str());
-  for (auto& w : workers) w.join();
+  reap(true);
   return Status{};
 }
 

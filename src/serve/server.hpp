@@ -65,8 +65,9 @@ class Server {
   Status serveStream(int inFd, int outFd);
 
   /// Unix-socket listener: binds `path` (replacing a stale socket
-  /// file), accepts until shutdown, one serveStream thread per
-  /// connection.  Returns once every connection thread has drained.
+  /// file), accepts until shutdown, one serveStream thread per open
+  /// connection (joined once its client hangs up).  Returns once every
+  /// connection thread has drained.
   Status serveSocket(const std::string& path);
 
   /// Trips the stop flag: serveSocket stops accepting and serveStream

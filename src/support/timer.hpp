@@ -11,16 +11,10 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  /// Restarts the stopwatch.
-  void restart() { start_ = Clock::now(); }
-
-  /// Elapsed seconds since construction / last restart.
+  /// Elapsed seconds since construction.
   double seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  /// Elapsed milliseconds.
-  double millis() const { return seconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

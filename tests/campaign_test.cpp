@@ -22,9 +22,12 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/checkpoint.hpp"
+#include "crit/analyzer.hpp"
 #include "diag/diagnosis.hpp"
+#include "fault/fault.hpp"
 #include "harden/fault_tolerant.hpp"
 #include "rsn/example_networks.hpp"
+#include "rsn/spec.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 
@@ -46,22 +49,44 @@ std::string checkpointPath(const std::string& tag) {
   return "campaign_test_" + tag + ".ckpt.json";
 }
 
+/// The top quartile of the damage ranking (at least one primitive), as
+/// hardened cells: what a min-damage plan protects first.
+DynamicBitset topQuartileCritical(const rsn::Network& net) {
+  Rng rng(2022);
+  const rsn::CriticalitySpec spec = rsn::randomSpec(net, {}, rng);
+  const std::vector<std::size_t> ranking =
+      crit::CriticalityAnalyzer(net, spec).run().ranking();
+  DynamicBitset hardened(net.primitiveCount());
+  const std::size_t take = std::max<std::size_t>(1, ranking.size() / 4);
+  for (std::size_t k = 0; k < take; ++k) hardened.set(ranking[k]);
+  return hardened;
+}
+
 TEST(Campaign, ExampleNetworksHaveZeroMismatches) {
   for (const rsn::Network& net :
        {rsn::makeFig1Network(), rsn::makeTinyNetwork()}) {
-    const campaign::CampaignResult result = runCampaign(net);
-    const campaign::CampaignSummary s = result.summary();
-    EXPECT_TRUE(s.complete()) << net.name();
-    EXPECT_EQ(s.oracleDisagreements, 0u) << net.name();
-    // The acceptance gate: simulation never disagrees with the
-    // control-aware expectation on segment breaks.
-    EXPECT_EQ(s.segmentBreakMismatches, 0u) << net.name();
-    EXPECT_EQ(s.muxStuckMismatches, 0u) << net.name();
-    // Strict-vs-structural differences are reported, not dropped: every
-    // gap pair appears in the itemized list.
-    EXPECT_EQ(result.structuralGaps().size(),
-              s.segmentBreakGapPairs + s.muxStuckGapPairs)
-        << net.name();
+    // The full universe, and what is left of it once the top quartile
+    // is hardened.
+    campaign::CampaignConfig hardened;
+    hardened.excludePrimitives = topQuartileCritical(net);
+    for (const campaign::CampaignConfig& config :
+         {campaign::CampaignConfig{}, hardened}) {
+      const std::string tag =
+          net.name() + (config.excludePrimitives.empty() ? "" : " hardened");
+      const campaign::CampaignResult result = runCampaign(net, config);
+      const campaign::CampaignSummary s = result.summary();
+      EXPECT_TRUE(s.complete()) << tag;
+      EXPECT_EQ(s.oracleDisagreements, 0u) << tag;
+      // The acceptance gate: simulation never disagrees with the
+      // control-aware expectation on segment breaks.
+      EXPECT_EQ(s.segmentBreakMismatches, 0u) << tag;
+      EXPECT_EQ(s.muxStuckMismatches, 0u) << tag;
+      // Strict-vs-structural differences are reported, not dropped:
+      // every gap pair appears in the itemized list.
+      EXPECT_EQ(result.structuralGaps().size(),
+                s.segmentBreakGapPairs + s.muxStuckGapPairs)
+          << tag;
+    }
   }
 }
 
@@ -256,14 +281,16 @@ TEST(Campaign, AugmentedTopologyRecoversAccesses) {
   // The fault-tolerant baseline adds TAP-controlled skip paths; the
   // bounded reroute search must use them, classifying accesses that the
   // nominal recipe loses as Recovered — and still match the expectation.
-  const harden::FaultTolerantRsn ft =
-      harden::augmentFaultTolerant(rsn::makeFig1Network());
-  const campaign::CampaignResult result = runCampaign(ft.network);
-  const campaign::CampaignSummary s = result.summary();
-  EXPECT_TRUE(s.complete());
-  EXPECT_GT(s.readRecovered + s.writeRecovered, 0u);
-  EXPECT_EQ(s.segmentBreakMismatches, 0u);
-  EXPECT_EQ(s.muxStuckMismatches, 0u);
+  for (const rsn::Network& net :
+       {rsn::makeFig1Network(), rsn::makeTinyNetwork()}) {
+    const harden::FaultTolerantRsn ft = harden::augmentFaultTolerant(net);
+    const campaign::CampaignResult result = runCampaign(ft.network);
+    const campaign::CampaignSummary s = result.summary();
+    EXPECT_TRUE(s.complete()) << net.name();
+    EXPECT_GT(s.readRecovered + s.writeRecovered, 0u) << net.name();
+    EXPECT_EQ(s.segmentBreakMismatches, 0u) << net.name();
+    EXPECT_EQ(s.muxStuckMismatches, 0u) << net.name();
+  }
 }
 
 TEST(Campaign, NoRerouteMeansNoRecovered) {
@@ -434,23 +461,44 @@ TEST(PairCampaign, CheckpointResumeMatchesUninterruptedRun) {
 }
 
 TEST(PairCampaign, InteractionsAreDiffsNotMismatches) {
-  const rsn::Network net = rsn::makeFig1Network();
-  campaign::CampaignConfig config;
-  config.mode = campaign::CampaignMode::Pairs;
-  const campaign::CampaignResult result = runCampaign(net, config);
-  const campaign::CampaignSummary s = result.summary();
-  EXPECT_TRUE(s.complete());
-  // The pair-composed oracle is a bound, not ground truth: divergence is
-  // an interaction effect, never an engine mismatch.
-  EXPECT_TRUE(result.mismatches().empty());
-  EXPECT_EQ(s.readMismatches + s.writeMismatches, 0u);
-  EXPECT_EQ(result.pairInteractions().size(), s.pairCompounded + s.pairMasked);
-  const campaign::RobustnessReport r = result.robustness();
-  EXPECT_EQ(r.mode, campaign::CampaignMode::Pairs);
-  EXPECT_EQ(r.compounded, s.pairCompounded);
-  EXPECT_EQ(r.masked, s.pairMasked);
-  EXPECT_GE(r.retention(), 0.0);
-  EXPECT_LE(r.retention(), 1.0);
+  for (const rsn::Network& net :
+       {rsn::makeFig1Network(), rsn::makeTinyNetwork()}) {
+    // Every pair of the full universe, and 24 sampled pairs once the
+    // top quartile is hardened.
+    campaign::CampaignConfig exhaustive;
+    exhaustive.mode = campaign::CampaignMode::Pairs;
+    campaign::CampaignConfig hardened = exhaustive;
+    hardened.sample = 24;
+    hardened.excludePrimitives = topQuartileCritical(net);
+    for (const campaign::CampaignConfig& config : {exhaustive, hardened}) {
+      const std::string tag =
+          net.name() + (config.excludePrimitives.empty() ? "" : " hardened");
+      const campaign::CampaignResult result = runCampaign(net, config);
+      const campaign::CampaignSummary s = result.summary();
+      EXPECT_TRUE(s.complete()) << tag;
+      // The pair-composed oracle is a bound, not ground truth:
+      // divergence is an interaction effect, never an engine mismatch.
+      EXPECT_TRUE(result.mismatches().empty()) << tag;
+      EXPECT_EQ(s.readMismatches + s.writeMismatches, 0u) << tag;
+      EXPECT_EQ(result.pairInteractions().size(),
+                s.pairCompounded + s.pairMasked)
+          << tag;
+      const campaign::RobustnessReport r = result.robustness();
+      EXPECT_EQ(r.mode, campaign::CampaignMode::Pairs) << tag;
+      EXPECT_EQ(r.compounded, s.pairCompounded) << tag;
+      EXPECT_EQ(r.masked, s.pairMasked) << tag;
+      EXPECT_GE(r.retention(), 0.0) << tag;
+      EXPECT_LE(r.retention(), 1.0) << tag;
+      // No pair touches a hardened primitive.
+      if (config.excludePrimitives.empty()) continue;
+      for (const campaign::FaultRecord& rec : result.records) {
+        for (const fault::Fault& f : {rec.scenario.a, rec.scenario.b})
+          EXPECT_FALSE(config.excludePrimitives.test(
+              net.linearId(fault::refOf(f))))
+              << tag << ": " << fault::describe(net, f);
+      }
+    }
+  }
 }
 
 // -------------------------------------------------- transient campaigns

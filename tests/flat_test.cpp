@@ -2,9 +2,12 @@
 // Covers the lowering (pinned fingerprints plus structural invariants
 // of the documented vertex numbering), serialization round-trips
 // (byte-determinism at any thread count), typed-Status rejection of
-// corrupt/foreign buffers, the campaign's flatten-once contract and
-// engine equivalence on a reloaded arena.
+// corrupt/foreign buffers, the campaign's flatten-once contract,
+// engine equivalence on a reloaded arena, and the HUGE_* shapes at
+// 120 k segments through every flat consumer within the memory budget.
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstring>
@@ -15,6 +18,7 @@
 #include "benchgen/generators.hpp"
 #include "benchgen/registry.hpp"
 #include "campaign/campaign.hpp"
+#include "crit/analyzer.hpp"
 #include "diag/batched.hpp"
 #include "diag/diagnosis.hpp"
 #include "fault/fault.hpp"
@@ -290,6 +294,39 @@ TEST(FlatNetwork, DeserializedEngineMatchesDirectLowering) {
   for (const fault::Fault& f : universe.faults())
     EXPECT_EQ(direct.row(&f, 0), reloaded.row(&f, 0))
         << fault::describe(net, f);
+}
+
+TEST(FlatNetwork, HugeShapesAreThreadCountInvariantWithinMemoryBudget) {
+  // Both HUGE_* shapes rescaled to 120,000 segments: (15,000 SIBs,
+  // fanout 16) and (7,500 SIBs, fanout 64).  The arena, the damages, 32
+  // sampled syndrome rows and 64 campaign verdicts must not depend on
+  // the pool width, and the process peak RSS must stay within the
+  // 2 GiB arena budget the scalability tier promises.
+  for (benchgen::BenchmarkSpec spec : benchgen::hugeBenchmarks()) {
+    spec.muxes = spec.muxes * 120'000 / spec.segments;
+    spec.segments = 120'000;
+    const Network net = benchgen::buildBenchmark(spec);
+    Rng rng(1);
+    const CriticalitySpec cspec = randomSpec(net, {}, rng);
+
+    const auto lower = [&] { return FlatNetwork::lower(net, &cspec); };
+    const auto flat = test::withThreads(1, lower);
+    EXPECT_TRUE(*flat == *test::withThreads(4, lower)) << spec.name;
+
+    const crit::CriticalityAnalyzer analyzer(net, cspec);
+    const auto damages = [&] { return analyzer.run().damages(); };
+    EXPECT_EQ(test::withThreads(1, damages), test::withThreads(4, damages))
+        << spec.name;
+
+    const auto sampled = [&] { return test::sampledStages(flat, net, 32, 64); };
+    const test::SampledStages serial = test::withThreads(1, sampled);
+    EXPECT_EQ(serial.rows.size(), 32u) << spec.name;
+    EXPECT_EQ(serial.verdicts.size(), 64u) << spec.name;
+    EXPECT_TRUE(serial == test::withThreads(4, sampled)) << spec.name;
+  }
+  rusage ru{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &ru), 0);
+  EXPECT_LT(ru.ru_maxrss / 1024, 2048) << "peak RSS in MiB";
 }
 
 }  // namespace

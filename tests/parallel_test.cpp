@@ -1,12 +1,15 @@
 // The parallel runtime's two promises: (1) the primitives behave like
 // their serial counterparts including exception propagation, and (2)
 // every public analysis result is byte-identical whatever RRSN_THREADS
-// is — damage vectors, fault dictionaries and fixed-seed EA archives.
+// is — damage vectors, sampled syndrome rows and campaign verdicts,
+// fault dictionaries and fixed-seed EA archives, on the example
+// networks and on the MBIST designs of at most 40 k segments.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <string>
 
 #include "benchgen/registry.hpp"
 #include "crit/analyzer.hpp"
@@ -14,21 +17,15 @@
 #include "harden/hardening.hpp"
 #include "moo/spea2.hpp"
 #include "rsn/example_networks.hpp"
+#include "rsn/flat.hpp"
 #include "rsn/spec.hpp"
 #include "support/parallel.hpp"
+#include "test_util.hpp"
 
 namespace rrsn {
 namespace {
 
-/// Runs fn with the pool fixed at `n` workers, then restores 1 worker so
-/// tests stay order-independent.
-template <typename Fn>
-auto withThreads(std::size_t n, Fn&& fn) {
-  setThreadCount(n);
-  auto result = fn();
-  setThreadCount(1);
-  return result;
-}
+using test::withThreads;
 
 // ------------------------------------------------------------ primitives
 
@@ -219,16 +216,31 @@ TEST(ParallelDeterminism, CriticalityDamagesMatchAcrossThreadCounts) {
   EXPECT_EQ(withThreads(1, oracle), withThreads(4, oracle));
 }
 
-TEST(ParallelDeterminism, FaultDictionarySyndromesMatchAcrossThreadCounts) {
-  const rsn::Network net = rsn::makeFig1Network();
-  const auto serial = withThreads(1, [&] { return diag::FaultDictionary::build(net); });
-  const auto pooled = withThreads(4, [&] { return diag::FaultDictionary::build(net); });
-  ASSERT_EQ(serial.faults().size(), pooled.faults().size());
-  EXPECT_EQ(serial.faultFreeSyndrome(), pooled.faultFreeSyndrome());
+void expectSameDictionaryAtOneAndFourThreads(const rsn::Network& net) {
+  const auto build = [&] { return diag::FaultDictionary::build(net); };
+  const auto serial = withThreads(1, build);
+  const auto pooled = withThreads(4, build);
+  ASSERT_EQ(serial.faults().size(), pooled.faults().size()) << net.name();
+  EXPECT_EQ(serial.faultFreeSyndrome(), pooled.faultFreeSyndrome())
+      << net.name();
   for (std::size_t k = 0; k < serial.faults().size(); ++k) {
-    ASSERT_EQ(serial.faults()[k], pooled.faults()[k]);
-    ASSERT_EQ(serial.syndromeOf(k), pooled.syndromeOf(k)) << "fault " << k;
+    ASSERT_EQ(serial.faults()[k], pooled.faults()[k]) << net.name();
+    ASSERT_EQ(serial.syndromeOf(k), pooled.syndromeOf(k))
+        << net.name() << " fault " << k;
   }
+}
+
+TEST(ParallelDeterminism, FaultDictionarySyndromesMatchAcrossThreadCounts) {
+  expectSameDictionaryAtOneAndFourThreads(rsn::makeFig1Network());
+}
+
+void expectSameArchive(const moo::RunResult& serial,
+                       const moo::RunResult& pooled) {
+  ASSERT_EQ(serial.archive.members().size(), pooled.archive.members().size());
+  for (std::size_t i = 0; i < serial.archive.members().size(); ++i)
+    ASSERT_TRUE(serial.archive.members()[i] == pooled.archive.members()[i])
+        << "archive member " << i;
+  EXPECT_EQ(serial.stats.evaluations, pooled.stats.evaluations);
 }
 
 TEST(ParallelDeterminism, Spea2ArchiveMatchesAcrossThreadCounts) {
@@ -242,14 +254,83 @@ TEST(ParallelDeterminism, Spea2ArchiveMatchesAcrossThreadCounts) {
   options.generations = 25;
   options.seed = 2022;
   const auto run = [&] { return moo::runSpea2(problem.linear, options); };
-  const auto serial = withThreads(1, run);
-  const auto pooled = withThreads(4, run);
-  ASSERT_EQ(serial.archive.members().size(), pooled.archive.members().size());
-  for (std::size_t i = 0; i < serial.archive.members().size(); ++i)
-    ASSERT_TRUE(serial.archive.members()[i] == pooled.archive.members()[i])
-        << "archive member " << i;
-  EXPECT_EQ(serial.stats.evaluations, pooled.stats.evaluations);
+  expectSameArchive(withThreads(1, run), withThreads(4, run));
 }
+
+// ------------------------------------------------ the small MBIST tier
+//
+// Every pooled stage on the MBIST designs of at most 40 k segments, under
+// the random spec of seed 1, at 1 against 4 workers.
+
+class TierDeterminism : public ::testing::TestWithParam<const char*> {
+ protected:
+  const benchgen::BenchmarkSpec& spec() const {
+    return benchgen::findBenchmark(GetParam());
+  }
+  static rsn::CriticalitySpec seededSpec(const rsn::Network& net) {
+    Rng rng(1);
+    return rsn::randomSpec(net, {}, rng);
+  }
+};
+
+TEST_P(TierDeterminism, CriticalityDamages) {
+  const rsn::Network net = benchgen::buildBenchmark(spec());
+  const rsn::CriticalitySpec cspec = seededSpec(net);
+  const crit::CriticalityAnalyzer analyzer(net, cspec);
+  const auto run = [&] { return analyzer.run().damages(); };
+  EXPECT_EQ(withThreads(1, run), withThreads(4, run));
+}
+
+TEST_P(TierDeterminism, SampledRowsAndCampaignVerdicts) {
+  const rsn::Network net = benchgen::buildBenchmark(spec());
+  const auto flat = rsn::FlatNetwork::lower(net);
+  const auto run = [&] { return test::sampledStages(flat, net, 32, 64); };
+  const test::SampledStages serial = withThreads(1, run);
+  EXPECT_EQ(serial.rows.size(), 32u);
+  EXPECT_EQ(serial.verdicts.size(), 64u);
+  EXPECT_TRUE(serial == withThreads(4, run));
+}
+
+TEST_P(TierDeterminism, Spea2ArchiveAtPaperPopulation) {
+  const rsn::Network net = benchgen::buildBenchmark(spec());
+  const rsn::CriticalitySpec cspec = seededSpec(net);
+  const auto analysis = crit::CriticalityAnalyzer(net, cspec).run();
+  const auto problem = harden::HardeningProblem::assemble(net, analysis);
+  moo::EvolutionOptions options;
+  options.populationSize = spec().populationSize();
+  options.generations = 50;
+  options.maxInitOnes = 100'000;
+  options.seed = 1;
+  const auto run = [&] { return moo::runSpea2(problem.linear, options); };
+  expectSameArchive(withThreads(1, run), withThreads(4, run));
+}
+
+const auto kDesignName = [](const ::testing::TestParamInfo<const char*>& i) {
+  return std::string(i.param);
+};
+
+INSTANTIATE_TEST_SUITE_P(SmallMbistTier, TierDeterminism,
+                         ::testing::Values("MBIST_1_5_5", "MBIST_1_5_20",
+                                           "MBIST_1_20_20", "MBIST_2_5_5",
+                                           "MBIST_2_5_20", "MBIST_2_20_20",
+                                           "MBIST_5_5_5", "MBIST_5_20_20"),
+                         kDesignName);
+
+// The full dictionary grows with faults x vertices; it runs on the
+// tier's designs of at most 12,000 segments.
+class TierDictionaryDeterminism
+    : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(TierDictionaryDeterminism, Syndromes) {
+  expectSameDictionaryAtOneAndFourThreads(
+      benchgen::buildBenchmark(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(SmallMbistTier, TierDictionaryDeterminism,
+                         ::testing::Values("MBIST_1_5_5", "MBIST_1_5_20",
+                                           "MBIST_1_20_20", "MBIST_2_5_5",
+                                           "MBIST_2_5_20", "MBIST_5_5_5"),
+                         kDesignName);
 
 }  // namespace
 }  // namespace rrsn

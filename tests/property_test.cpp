@@ -196,7 +196,11 @@ void expectCertifierMatchesOracle(const rsn::Network& net,
   EXPECT_EQ(rowsPerThreadCount[0], rowsPerThreadCount[1]);
   EXPECT_EQ(rowsPerThreadCount[0], rowsPerThreadCount[2]);
 
-  ASSERT_EQ(result.summary().unknownCells(), 0u);
+  const verify::CertifySummary summary = result.summary();
+  ASSERT_EQ(summary.unknownCells(), 0u);
+  // Every row is decided by exactly one tier.
+  EXPECT_EQ(summary.fastRows + summary.fixpointRows, result.universe.size())
+      << net.name();
   const diag::BatchedSyndromeEngine oracle(net);
   for (std::size_t fi = 0; fi < result.universe.size(); fi += stride) {
     const fault::Fault& f = result.universe[fi];
@@ -221,8 +225,10 @@ TEST(CertifierOracleSweep, TableOneBenchmarksExhaustive) {
 }
 
 TEST(CertifierOracleSweep, MbistClassExhaustive) {
-  expectCertifierMatchesOracle(benchgen::buildBenchmark("MBIST_1_5_5"),
-                               /*stride=*/1);
+  for (const char* name : {"MBIST_1_5_5", "MBIST_1_5_20"}) {
+    expectCertifierMatchesOracle(benchgen::buildBenchmark(name),
+                                 /*stride=*/1);
+  }
 }
 
 TEST(CertifierOracleSweep, HugeShapeSampled) {

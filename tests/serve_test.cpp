@@ -4,13 +4,16 @@
 // determinism of cached responses, deadline-expired campaigns as typed
 // errors, the FlatStore mmap-adopt tier, the command surface the daemon
 // shares with rrsn_tool (param schema, network names, per-subcommand
-// flags) — plus regression tests for the I/O-robustness fixes (strict
-// numeric CLI parsing, checkpoint save failures surfaced as Status,
-// SIGPIPE immunity of the tools).
+// flags, the lint fail-fast), the daemon binary over stdio and over a
+// Unix socket — plus regression tests for the I/O-robustness fixes
+// (strict numeric CLI parsing, checkpoint save failures surfaced as
+// Status, SIGPIPE immunity of the tools).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +25,7 @@
 
 #include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -311,6 +315,23 @@ int runTool(const std::vector<std::string>& args, bool closeStdout = false,
 
 // ------------------------------------------------- server over stream
 
+/// One request/reply exchange: writes the request frame to `out`, reads
+/// the reply frame from `in`.
+json::Value exchange(int in, int out, const std::string& method,
+                     json::Object params = {}, std::uint64_t id = 1) {
+  json::Object req;
+  req["id"] = json::Value(id);
+  req["method"] = json::Value(method);
+  req["params"] = json::Value(std::move(params));
+  const Status ws = writeFrame(out, json::serialize(json::Value(std::move(req))));
+  EXPECT_TRUE(ws.ok()) << ws.toString();
+  std::string payload;
+  bool eof = false;
+  const Status rs = readFrame(in, payload, eof);
+  EXPECT_TRUE(rs.ok() && !eof) << rs.toString();
+  return json::parse(payload);
+}
+
 /// One in-process client: socketpair + a thread pumping serveStream.
 class StreamClient {
  public:
@@ -330,17 +351,7 @@ class StreamClient {
 
   json::Value call(const std::string& method, json::Object params = {},
                    std::uint64_t id = 1) {
-    json::Object req;
-    req["id"] = json::Value(id);
-    req["method"] = json::Value(method);
-    req["params"] = json::Value(std::move(params));
-    const Status ws = writeFrame(fd_, json::serialize(json::Value(std::move(req))));
-    EXPECT_TRUE(ws.ok()) << ws.toString();
-    std::string payload;
-    bool eof = false;
-    const Status rs = readFrame(fd_, payload, eof);
-    EXPECT_TRUE(rs.ok() && !eof) << rs.toString();
-    return json::parse(payload);
+    return exchange(fd_, fd_, method, std::move(params), id);
   }
 
   int fd() const { return fd_; }
@@ -533,6 +544,31 @@ TEST(Server, CertifyReplyEqualsCliJsonReport) {
             json::serialize(json::parse(cliText)));
 }
 
+TEST(Server, CertifyFailsFastOnLintErrorsAsTheCliDoes) {
+  // A 1-bit register steering a 3-branch mux: struct.ctrl-width and
+  // struct.unreachable are errors.  `rrsn_tool certify` exits 1 on
+  // them, and the daemon refuses certify as it refuses analyze.
+  const std::string text =
+      "network n { chain { segment c;\n"
+      "  mux m ctrl=c { branch { segment a; } branch { segment b; }\n"
+      "                 branch { segment d; } } } }\n";
+  const fs::path file = fs::temp_directory_path() /
+                        ("rrsn_lint_error_" + std::to_string(::getpid()) +
+                         ".rsn");
+  std::ofstream(file) << text;
+  EXPECT_EQ(runTool({"certify", file.string()}), 1);
+  fs::remove(file);
+
+  Server server;
+  StreamClient client(server);
+  for (const char* method : {"analyze", "certify"}) {
+    const json::Value resp = client.call(method, netlistParams(text));
+    ASSERT_FALSE(resp.at("ok").asBool()) << method;
+    EXPECT_EQ(resp.at("error").at("code").asString(), "FAILED_PRECONDITION")
+        << method;
+  }
+}
+
 TEST(Server, ConcurrentClientsThreadCountInvariance) {
   const std::string text = fig1Text();
   std::vector<std::string> perThreadCount;
@@ -707,17 +743,7 @@ TEST(DaemonBinary, StdioProtocolRoundTripAndCleanShutdown) {
   ::close(fromChild[1]);
 
   auto call = [&](const std::string& method) {
-    json::Object req;
-    req["id"] = json::Value(std::uint64_t{1});
-    req["method"] = json::Value(method);
-    const Status ws =
-        writeFrame(toChild[1], json::serialize(json::Value(std::move(req))));
-    EXPECT_TRUE(ws.ok()) << ws.toString();
-    std::string payload;
-    bool eof = false;
-    const Status rs = readFrame(fromChild[0], payload, eof);
-    EXPECT_TRUE(rs.ok() && !eof) << rs.toString();
-    return json::parse(payload);
+    return exchange(fromChild[0], toChild[1], method);
   };
   EXPECT_TRUE(call("ping").at("result").at("pong").asBool());
   EXPECT_TRUE(call("shutdown").at("result").at("stopping").asBool());
@@ -727,6 +753,189 @@ TEST(DaemonBinary, StdioProtocolRoundTripAndCleanShutdown) {
   ::waitpid(pid, &status, 0);
   EXPECT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0) << "shutdown must exit the daemon cleanly";
+}
+
+// ---------------------------------------------- daemon binary (socket)
+
+/// Connects to a Unix socket; -1 while nothing listens there.
+int connectUnix(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Lines of /proc/<pid>/maps: one per mapping the process holds.
+std::size_t mappingCount(pid_t pid) {
+  std::ifstream maps("/proc/" + std::to_string(pid) + "/maps");
+  return static_cast<std::size_t>(
+      std::count(std::istreambuf_iterator<char>(maps),
+                 std::istreambuf_iterator<char>(), '\n'));
+}
+
+TEST(DaemonBinary, SocketClientsShareTheCachesAndConnectionsAreReaped) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("rrsn_serve_socket_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string socketPath = (dir / "rrsn.sock").string();
+  const fs::path cacheDir = dir / "cache";
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const int devnull = ::open("/dev/null", O_WRONLY);
+    ::dup2(devnull, STDERR_FILENO);
+    ::execl(RRSN_SERVE_BIN, RRSN_SERVE_BIN, "--socket", socketPath.c_str(),
+            "--cache-dir", cacheDir.c_str(), static_cast<char*>(nullptr));
+    _exit(98);
+  }
+  // Whatever fails below, neither the daemon nor its files outlive the
+  // test.
+  struct Cleanup {
+    pid_t pid;
+    fs::path dir;
+    ~Cleanup() {
+      if (pid > 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+      }
+      std::error_code ec;
+      fs::remove_all(dir, ec);
+    }
+  } cleanup{pid, dir};
+  const auto connectClient = [&] {
+    int fd = connectUnix(socketPath);
+    for (int attempt = 0; fd < 0 && attempt < 500; ++attempt) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      fd = connectUnix(socketPath);
+    }
+    EXPECT_GE(fd, 0) << "the daemon never listened on " << socketPath;
+    return fd;
+  };
+
+  // Four Table-I designs, and each one's arena lowered in-process from
+  // the exact request text.
+  std::vector<std::string> corpus;
+  std::vector<std::uint64_t> fingerprints;
+  for (const char* name : {"TreeFlat", "TreeBalanced", "q12710",
+                           "MBIST_2_5_5"}) {
+    corpus.push_back(rsn::netlistToString(benchgen::buildBenchmark(name)));
+    fingerprints.push_back(
+        rsn::FlatNetwork::lower(rsn::parseNetlistString(corpus.back()))
+            ->fingerprint());
+  }
+
+  // First analyze of each design: the served arena (published to and
+  // re-adopted from the disk tier) is the in-process lowering.
+  std::string firstAnalyze;
+  std::uint64_t hitsBefore = 0;
+  {
+    const int fd = connectClient();
+    ASSERT_GE(fd, 0);
+    for (std::size_t d = 0; d < corpus.size(); ++d) {
+      const json::Value resp =
+          exchange(fd, fd, "analyze", netlistParams(corpus[d]));
+      ASSERT_TRUE(resp.at("ok").asBool()) << json::serialize(resp);
+      // Fingerprints travel as the bits of a JSON integer.
+      EXPECT_EQ(static_cast<std::uint64_t>(
+                    resp.at("result").at("flat_fingerprint").asInt()),
+                fingerprints[d]);
+      if (d == 0) firstAnalyze = json::serialize(resp.at("result"));
+    }
+    hitsBefore = exchange(fd, fd, "stats")
+                     .at("result").at("cache").at("hits").asUnsigned();
+    ::close(fd);
+  }
+
+  // Two concurrent clients, ten requests each, cycling through the
+  // designs and this mix.
+  const std::pair<std::string, json::Object> kMix[] = {
+      {"analyze", {}},
+      {"lint", {}},
+      {"diagnose", {}},
+      {"campaign", {{"sample", json::Value(std::uint64_t{8})}}},
+      {"analyze", {}},
+      {"harden",
+       {{"generations", json::Value(std::uint64_t{4})},
+        {"population", json::Value(std::uint64_t{8})}}}};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      const int fd = connectClient();
+      if (fd < 0) return;
+      for (std::size_t i = c * 10; i < c * 10 + 10; ++i) {
+        auto [method, params] = kMix[i % std::size(kMix)];
+        params["netlist"] = json::Value(corpus[(c + i) % corpus.size()]);
+        const json::Value resp = exchange(fd, fd, method, std::move(params));
+        EXPECT_TRUE(resp.at("ok").asBool())
+            << method << ": " << json::serialize(resp);
+      }
+      ::close(fd);
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  // The mix was served from the cache, and a repeated request gets the
+  // first reply byte for byte.
+  {
+    const int fd = connectClient();
+    ASSERT_GE(fd, 0);
+    EXPECT_GT(exchange(fd, fd, "stats")
+                  .at("result").at("cache").at("hits").asUnsigned(),
+              hitsBefore);
+    const json::Value again =
+        exchange(fd, fd, "analyze", netlistParams(corpus[0]));
+    EXPECT_EQ(json::serialize(again.at("result")), firstAnalyze);
+    ::close(fd);
+  }
+
+  // A finished connection's thread is joined while the daemon runs:
+  // 64 sequential clients leave its mappings about where one left them
+  // (each thread kept until shutdown holds its stack mapping).
+  const auto pingOnce = [&] {
+    const int fd = connectClient();
+    if (fd < 0) return;
+    EXPECT_TRUE(exchange(fd, fd, "ping").at("ok").asBool());
+    ::close(fd);
+  };
+  pingOnce();
+  const std::size_t mappingsBefore = mappingCount(pid);
+  for (int k = 0; k < 64; ++k) pingOnce();
+  EXPECT_LE(mappingCount(pid), mappingsBefore + 16);
+
+  {
+    const int fd = connectClient();
+    ASSERT_GE(fd, 0);
+    EXPECT_TRUE(
+        exchange(fd, fd, "shutdown").at("result").at("stopping").asBool());
+    ::close(fd);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  cleanup.pid = -1;
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "shutdown must exit the daemon cleanly";
+
+  // The disk tier holds one arena per design, each the in-process one.
+  std::vector<std::uint64_t> published;
+  for (const auto& entry : fs::directory_iterator(cacheDir)) {
+    EXPECT_EQ(entry.path().extension(), ".rrsnflat") << entry.path();
+    std::shared_ptr<const rsn::FlatNetwork> mapped;
+    ASSERT_TRUE(rsn::FlatNetwork::mapFile(entry.path().string(), mapped).ok())
+        << entry.path();
+    published.push_back(mapped->fingerprint());
+  }
+  std::sort(published.begin(), published.end());
+  std::sort(fingerprints.begin(), fingerprints.end());
+  EXPECT_EQ(published, fingerprints);
 }
 
 TEST(DaemonBinary, MalformedCliOptionExitsOneWithUsage) {

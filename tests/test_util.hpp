@@ -1,21 +1,39 @@
 // Shared helpers for the test suite: a random hierarchical RSN generator
 // (for property tests comparing the fast analysis against the oracles),
-// a random-spec shortcut and a series-parallel recognizer.
+// a random-spec shortcut, a series-parallel recognizer, a pool-width
+// scope and the sampled reference stages the determinism tests compare.
 #pragma once
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "campaign/campaign.hpp"
+#include "diag/batched.hpp"
+#include "fault/fault.hpp"
 #include "graph/vertex.hpp"
 #include "rsn/builder.hpp"
 #include "rsn/flat.hpp"
 #include "rsn/network.hpp"
 #include "rsn/spec.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace rrsn::test {
+
+/// Runs fn with the pool fixed at `n` workers, then restores the
+/// previous width so tests stay order-independent.
+template <typename Fn>
+auto withThreads(std::size_t n, Fn&& fn) {
+  const std::size_t saved = threadCount();
+  setThreadCount(n);
+  auto result = fn();
+  setThreadCount(saved);
+  return result;
+}
 
 /// Parameters of the random network generator.
 struct RandomNetOptions {
@@ -127,6 +145,64 @@ inline bool isTwoTerminalSp(const rsn::FlatNetwork& flat) {
       edges.emplace_back(v, flat.fwdEdges()[e].other);
   return isTwoTerminalSp(flat.vertexCount(), edges, flat.scanIn(),
                          flat.scanOut());
+}
+
+/// What the pool computes on a sample of the single-fault universe over
+/// one shared arena: the reference engine's syndrome rows of `rows`
+/// evenly spaced faults, and the campaign oracle's verdict on `verdicts`
+/// evenly spaced faults (every instrument readable and writable, none,
+/// or some).  Determinism tests compare it across pool widths.
+struct SampledStages {
+  enum class Access : std::uint8_t { Full, Degraded, Lost };
+
+  std::vector<diag::Syndrome> rows;
+  std::vector<Access> verdicts;
+
+  bool operator==(const SampledStages&) const = default;
+};
+
+/// `count` evenly spaced indices over [0, universe), both ends included.
+inline std::vector<std::size_t> evenSample(std::size_t universe,
+                                           std::size_t count) {
+  count = std::min(std::max<std::size_t>(count, 1), universe);
+  std::vector<std::size_t> idx(count);
+  for (std::size_t k = 0; k < count; ++k)
+    idx[k] = count > 1 ? k * (universe - 1) / (count - 1) : universe / 2;
+  return idx;
+}
+
+inline SampledStages sampledStages(
+    const std::shared_ptr<const rsn::FlatNetwork>& flat,
+    const rsn::Network& net, std::size_t rows, std::size_t verdicts) {
+  const fault::FaultUniverse universe(net);
+  const std::size_t instruments = net.instruments().size();
+  const diag::BatchedSyndromeEngine engine(flat);
+  SampledStages out;
+
+  const std::vector<std::size_t> rowSample = evenSample(universe.size(), rows);
+  out.rows.resize(rowSample.size());
+  parallelForChunks(rowSample.size(), [&](std::size_t begin, std::size_t end,
+                                          std::size_t worker) {
+    for (std::size_t k = begin; k < end; ++k)
+      out.rows[k] = engine.row(&universe.faults()[rowSample[k]], worker);
+  });
+
+  const std::vector<std::size_t> verdictSample =
+      evenSample(universe.size(), verdicts);
+  out.verdicts.resize(verdictSample.size());
+  parallelForChunks(verdictSample.size(), [&](std::size_t begin,
+                                              std::size_t end,
+                                              std::size_t worker) {
+    for (std::size_t k = begin; k < end; ++k) {
+      const campaign::Expectation e = campaign::expectedAccessibility(
+          engine, instruments, universe.faults()[verdictSample[k]], worker);
+      const std::size_t live = e.observable.count() + e.settable.count();
+      out.verdicts[k] = live == 2 * instruments ? SampledStages::Access::Full
+                        : live == 0             ? SampledStages::Access::Lost
+                                    : SampledStages::Access::Degraded;
+    }
+  });
+  return out;
 }
 
 }  // namespace rrsn::test
