@@ -5,15 +5,19 @@
 // values can always be applied.  In a real defect RSN, address registers
 // are themselves written through the network, so a fault can also block
 // the *configuration* of an otherwise intact path.  The simulator-backed
-// strict oracle accounts for that.  This bench measures, per benchmark
-// and over the complete single-fault universe, how many (instrument,
-// fault) accessibility claims the structural analysis makes that do not
-// survive end-to-end simulation — the optimism of the structural model.
+// strict oracle (diag::FaultDictionary::measure: one retargeted read and
+// write per instrument, each on a fresh fault-injected simulator)
+// accounts for that.  This bench measures, per benchmark and over the
+// complete single-fault universe, how many (instrument, fault)
+// accessibility claims the structural analysis
+// (fault::lossUnderFaultGraph) makes that do not survive end-to-end
+// simulation — the optimism of the structural model.
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "diag/diagnosis.hpp"
+#include "fault/effects.hpp"
 #include "rsn/example_networks.hpp"
-#include "sim/retarget.hpp"
 #include "support/table.hpp"
 
 int main() {
@@ -36,24 +40,28 @@ int main() {
     std::size_t obsClaims = 0, obsConfirmed = 0;
     std::size_t setClaims = 0, setConfirmed = 0;
     for (const fault::Fault& f : universe.faults()) {
-      const sim::AccessReport structural =
-          sim::structuralAccessibility(*flat, &f);
-      const sim::AccessReport strict = sim::strictAccessibility(net, &f);
+      const fault::AccessibilityLoss structural =
+          fault::lossUnderFaultGraph(*flat, f);
+      const diag::Syndrome strict = diag::FaultDictionary::measure(net, &f);
       for (rsn::InstrumentId i = 0; i < n; ++i) {
-        if (structural.observable.test(i)) {
+        const bool structObs = !structural.unobservable.test(i);
+        const bool strictObs = strict.passed.test(2 * i);
+        if (structObs) {
           ++obsClaims;
-          obsConfirmed += strict.observable.test(i);
+          obsConfirmed += strictObs;
         }
         // Sanity: strict accessibility must never exceed structural.
-        if (strict.observable.test(i) && !structural.observable.test(i)) {
+        if (strictObs && !structObs) {
           std::cerr << "BUG: strict > structural (obs) on " << name << '\n';
           return 1;
         }
-        if (structural.settable.test(i)) {
+        const bool structSet = !structural.unsettable.test(i);
+        const bool strictSet = strict.passed.test(2 * i + 1);
+        if (structSet) {
           ++setClaims;
-          setConfirmed += strict.settable.test(i);
+          setConfirmed += strictSet;
         }
-        if (strict.settable.test(i) && !structural.settable.test(i)) {
+        if (strictSet && !structSet) {
           std::cerr << "BUG: strict > structural (set) on " << name << '\n';
           return 1;
         }

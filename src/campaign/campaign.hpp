@@ -19,9 +19,9 @@
 //    alone is blocked by f2) and *masks* (a stuck mux can hide a broken
 //    control register it makes unreachable), so sim-vs-composed
 //    differences are itemized as interaction effects, never errors.
-//    The guaranteed-zero gate for pairs is instead the debug build's
-//    per-probe cross-check: every sampled pair's classification on the
-//    shared simulator is re-derived on a fresh simulator per access.
+//    The guaranteed-zero gate for pairs is instead campaign_test's
+//    per-probe cross-check: every pair's classification on the shared
+//    simulator is re-derived on a fresh simulator per access.
 //  * Transient: one-shot soft errors (sim::TransientUpset) that corrupt
 //    one segment's registers to X after a chosen CSU round.  A probe
 //    that fails under the upset is retried once after a 1687-style

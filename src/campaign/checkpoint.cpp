@@ -62,7 +62,9 @@ std::uint64_t campaignFingerprint(const rsn::Network& net,
       fnvMix(h, static_cast<std::uint64_t>(round));
   }
   fnvMix(h, static_cast<std::uint64_t>(config.retarget.maxRounds));
-  fnvMix(h, static_cast<std::uint64_t>(config.retarget.allowReroute ? 1 : 0));
+  // Redundant with the next field, but part of the fingerprint format:
+  // dropping it would orphan every stored checkpoint.
+  fnvMix(h, static_cast<std::uint64_t>(config.retarget.maxReroutes != 0));
   fnvMix(h, static_cast<std::uint64_t>(config.retarget.maxReroutes));
   fnvMix(h, bitsToString(config.excludePrimitives));
   return h;

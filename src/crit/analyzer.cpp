@@ -172,18 +172,9 @@ CriticalityResult CriticalityAnalyzer::run() const {
     parallelFor(
         net_->segments().size(),
         [&](std::size_t s) {
-          const std::uint64_t damage =
-              kernel_.segmentBreakDamage(static_cast<std::uint32_t>(s));
-#ifndef NDEBUG
-          RRSN_CHECK(damage ==
-                         fault::damageUnderFaultTree(
-                             tree_, Fault::segmentBreak(
-                                        static_cast<rsn::SegmentId>(s))),
-                     "SoA kernel diverges from the tree walk on segment " +
-                         net_->segment(static_cast<rsn::SegmentId>(s)).name);
-#endif
           d[net_->linearId({rsn::PrimitiveRef::Kind::Segment,
-                            static_cast<rsn::SegmentId>(s)})] = damage;
+                            static_cast<rsn::SegmentId>(s)})] =
+              kernel_.segmentBreakDamage(static_cast<std::uint32_t>(s));
         },
         /*grain=*/2048);
     obs::count(kFaults, net_->segments().size());
@@ -199,16 +190,8 @@ CriticalityResult CriticalityAnalyzer::run() const {
               kernel_.branchOffsets[mi + 1] - kernel_.branchOffsets[mi];
           std::vector<std::uint64_t> perBranch;
           perBranch.reserve(arity);
-          for (std::uint32_t b = 0; b < arity; ++b) {
+          for (std::uint32_t b = 0; b < arity; ++b)
             perBranch.push_back(kernel_.muxStuckDamage(m, b));
-#ifndef NDEBUG
-            RRSN_CHECK(perBranch.back() ==
-                           fault::damageUnderFaultTree(tree_,
-                                                       Fault::muxStuck(m, b)),
-                       "SoA kernel diverges from the tree walk on mux " +
-                           net_->mux(m).name);
-#endif
-          }
           d[net_->linearId({rsn::PrimitiveRef::Kind::Mux, m})] =
               combine(options_.muxPolicy, perBranch);
           obs::count(kFaults, arity);

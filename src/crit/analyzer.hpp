@@ -81,8 +81,8 @@ class CriticalityResult {
 /// of the annotated tree (contiguous parent/child/kind/sum arrays plus
 /// a CSR of mux branch roots), not the node objects — at 10^6 segments
 /// the pointer-model walk is memory-bound on scattered TreeNode loads.
-/// Debug builds cross-check every kernel result against
-/// fault::damageUnderFaultTree on the real tree.
+/// crit_test checks the results against bruteForceAnalysis on random
+/// networks, under every MuxDamagePolicy.
 class CriticalityAnalyzer {
  public:
   CriticalityAnalyzer(const rsn::Network& net, const rsn::CriticalitySpec& spec,

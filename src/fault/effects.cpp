@@ -184,42 +184,4 @@ std::uint64_t damageOfLoss(const rsn::CriticalitySpec& spec,
   return damage;
 }
 
-std::uint64_t damageUnderFaultTree(const DecompositionTree& tree,
-                                   const Fault& f) {
-  const rsn::Network& net = tree.network();
-  if (f.kind == FaultKind::MuxStuck) {
-    const auto& branches = tree.branchesOfMux(f.prim);
-    RRSN_CHECK(f.stuckBranch < branches.size(), "stuck branch out of range");
-    std::uint64_t damage = 0;
-    for (std::size_t b = 0; b < branches.size(); ++b) {
-      if (b == f.stuckBranch) continue;
-      const auto& n = tree.node(branches[b]);
-      damage += n.sumObs + n.sumSet;
-    }
-    return damage;
-  }
-
-  std::uint64_t damage = 0;
-  const InstrumentId inst = net.segment(f.prim).instrument;
-  if (inst != rsn::kNone) {
-    const auto& leaf = tree.node(tree.leafOfSegment(f.prim));
-    damage += leaf.sumObs + leaf.sumSet;
-  }
-  TreeId cur = tree.leafOfSegment(f.prim);
-  TreeId parent = tree.node(cur).parent;
-  while (parent != sp::kNoTree &&
-         tree.node(parent).kind != TreeKind::Parallel) {
-    const auto& p = tree.node(parent);
-    if (p.kind == TreeKind::Series) {
-      if (p.right == cur)
-        damage += tree.node(p.left).sumObs;   // upstream: unobservable
-      else
-        damage += tree.node(p.right).sumSet;  // downstream: unsettable
-    }
-    cur = parent;
-    parent = p.parent;
-  }
-  return damage;
-}
-
 }  // namespace rrsn::fault

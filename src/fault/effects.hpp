@@ -42,10 +42,4 @@ AccessibilityLoss lossUnderFaultGraph(const rsn::FlatNetwork& flat,
 std::uint64_t damageOfLoss(const rsn::CriticalitySpec& spec,
                            const AccessibilityLoss& loss);
 
-/// Fast aggregate damage of one fault straight from the annotated tree,
-/// without materializing instrument sets: O(tree depth) for a segment
-/// break, O(#branches) for a stuck mux.  The tree must be annotate()d.
-std::uint64_t damageUnderFaultTree(const sp::DecompositionTree& tree,
-                                   const Fault& f);
-
 }  // namespace rrsn::fault

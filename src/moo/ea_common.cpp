@@ -115,11 +115,6 @@ Individual applyVariationPlan(const LinearBiProblem& problem,
   });
   ind.obj.cost = cost;
   ind.obj.damage = damage;
-#ifndef NDEBUG
-  // Debug builds re-derive every offspring's objectives from scratch;
-  // any divergence of the incremental bookkeeping fails loudly here.
-  verifyObjectives = true;
-#endif
   if (verifyObjectives) {
     const Objectives full = evaluate(problem, ind.genome, damageTotal);
     if (!(ind.obj == full)) {

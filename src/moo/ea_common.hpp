@@ -17,8 +17,8 @@
 // applyVariationPlan also never re-scans the child: a crossover child's
 // objectives come from the parents' WeightIndex prefix sums (two
 // O(log ones) lookups), and each mutation flip adjusts them by the
-// flipped bit's +-(cost, gain) in O(1).  Debug builds cross-check the
-// incremental objectives against a full evaluate() of every offspring.
+// flipped bit's +-(cost, gain) in O(1).  Every 64th offspring is
+// cross-checked against a full evaluate() in every build.
 #pragma once
 
 #include <cstddef>
@@ -127,11 +127,11 @@ void prepareParents(const LinearBiProblem& problem,
 /// concurrent calls over a shared pool once prepareParents ran.
 ///
 /// `verifyObjectives` requests a full evaluate() cross-check of the
-/// incremental objectives *in release builds too* — the EAs sample every
-/// 64th offspring (deterministic by index, consuming no randomness), so
-/// a drifting incremental update is caught within one generation at
-/// ~1.6 % of the O(ones) re-scan cost.  A mismatch throws
-/// obs::InvariantError.  Debug builds still verify every offspring.
+/// incremental objectives — the EAs sample every 64th offspring
+/// (deterministic by index, consuming no randomness), so a drifting
+/// incremental update is caught within one generation at ~1.6 % of the
+/// O(ones) re-scan cost.  A mismatch throws obs::InvariantError.
+/// genome_kernel_test compares every child against evaluate().
 Individual applyVariationPlan(const LinearBiProblem& problem,
                               std::uint64_t damageTotal,
                               const std::vector<Individual>& pool,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "fault/effects.hpp"
 #include "obs/obs.hpp"
 
 namespace rrsn::sim {
@@ -203,9 +202,28 @@ std::map<rsn::MuxId, std::uint32_t> selectionsFromPath(
   return sel;
 }
 
-bool onPath(const PathInfo& path, rsn::SegmentId seg) {
-  return std::find(path.segments.begin(), path.segments.end(), seg) !=
-         path.segments.end();
+/// Joins a prefix (scan-in -> seg) and suffix (seg -> scan-out) into the
+/// mux selections realizing the combined walk.
+std::map<rsn::MuxId, std::uint32_t> joinSelections(
+    const rsn::FlatNetwork& flat, const std::vector<graph::VertexId>& prefix,
+    const std::vector<graph::VertexId>& suffix,
+    const std::vector<fault::Fault>& faults) {
+  std::vector<graph::VertexId> whole = prefix;
+  whole.insert(whole.end(), suffix.begin() + 1, suffix.end());
+  return selectionsFromPath(flat, whole, faults);
+}
+
+bool containsBreak(const std::vector<fault::Fault>& faults) {
+  for (const fault::Fault& f : faults)
+    if (f.kind == fault::FaultKind::SegmentBreak) return true;
+  return false;
+}
+
+bool breaksSegment(const std::vector<fault::Fault>& faults,
+                   rsn::SegmentId seg) {
+  for (const fault::Fault& f : faults)
+    if (f.kind == fault::FaultKind::SegmentBreak && f.prim == seg) return true;
+  return false;
 }
 
 }  // namespace
@@ -248,8 +266,7 @@ Retargeter::Retargeter(ScanSimulator& sim, const rsn::FlatNetwork& flat,
                                        : net.stats().maxMuxNesting + 2;
 }
 
-RetargetResult Retargeter::realizeSelections(
-    const std::map<rsn::MuxId, std::uint32_t>& selections) {
+RetargetResult Retargeter::realizeSelections(const Selections& selections) {
   const rsn::Network& net = sim_->network();
   RetargetResult res;
 
@@ -316,258 +333,130 @@ RetargetResult Retargeter::realizeSelections(
   return res;
 }
 
-namespace {
-
-/// Joins a prefix (scan-in -> seg) and suffix (seg -> scan-out) into the
-/// mux selections realizing the combined walk.
-std::map<rsn::MuxId, std::uint32_t> joinSelections(
-    const rsn::FlatNetwork& flat, const std::vector<graph::VertexId>& prefix,
-    const std::vector<graph::VertexId>& suffix,
-    const std::vector<fault::Fault>& faults) {
-  std::vector<graph::VertexId> whole = prefix;
-  whole.insert(whole.end(), suffix.begin() + 1, suffix.end());
-  return selectionsFromPath(flat, whole, faults);
-}
-
-bool containsBreak(const std::vector<fault::Fault>& faults) {
-  for (const fault::Fault& f : faults)
-    if (f.kind == fault::FaultKind::SegmentBreak) return true;
-  return false;
-}
-
-bool breaksSegment(const std::vector<fault::Fault>& faults,
-                   rsn::SegmentId seg) {
-  for (const fault::Fault& f : faults)
-    if (f.kind == fault::FaultKind::SegmentBreak && f.prim == seg) return true;
-  return false;
-}
-
-}  // namespace
-
-/// Candidate mux-selection maps for accessing `seg`, in attempt order.
-/// Entry 0 (when present) is the *nominal* recipe — the shortest
-/// fault-unaware path, exactly what a controller without fault knowledge
-/// would apply.  Subsequent entries are fault-aware alternatives from the
-/// bounded reroute enumeration; `allowBreakAtSeg` selects the read
-/// flavor (broken segment tolerable on the scan-in side) vs the write
-/// flavor (tolerable on the scan-out side).  Duplicates of earlier
-/// entries are dropped, and the total is capped at 1 + maxReroutes.
-static std::vector<std::pair<std::map<rsn::MuxId, std::uint32_t>, bool>>
-candidateSelections(const rsn::FlatNetwork& flat,
-                    const std::vector<fault::Fault>& faults,
-                    rsn::SegmentId seg, bool breakBeforeSegTolerable,
-                    const RetargetOptions& options) {
-  using Selections = std::map<rsn::MuxId, std::uint32_t>;
-  std::vector<std::pair<Selections, bool>> out;  // (selections, rerouted)
-  const graph::VertexId segV = flat.segmentVertex()[seg];
-
-  const auto push = [&](Selections sel, bool rerouted) {
-    for (const auto& [existing, r] : out)
-      if (existing == sel) return;
-    out.emplace_back(std::move(sel), rerouted);
-  };
-
-  // Nominal: shortest path ignoring the faults (selections derived
-  // fault-unaware too — this is the recipe of an oblivious controller).
-  {
-    const auto prefix = findPath(flat, {}, flat.scanIn(), segV, false);
-    const auto suffix = findPath(flat, {}, segV, flat.scanOut(), false);
-    if (prefix && suffix)
-      push(joinSelections(flat, *prefix, *suffix, {}), false);
-  }
-
-  if (faults.empty() || !options.allowReroute || options.maxReroutes == 0)
-    return out;
-
-  // Reroute: enumerate fault-honoring prefix/suffix pairs.  The second
-  // strategy additionally tolerates broken segments on the side where
-  // the payload never crosses them (scan-in side for reads, scan-out
-  // side for writes).
-  const std::size_t cap = options.maxReroutes;
-  for (const bool tolerateBreak : {false, true}) {
-    if (tolerateBreak && !containsBreak(faults)) break;
-    const bool allowPrefixBreak = tolerateBreak && breakBeforeSegTolerable;
-    const bool allowSuffixBreak = tolerateBreak && !breakBeforeSegTolerable;
-    const auto prefixes = enumeratePaths(flat, faults, flat.scanIn(), segV,
-                                         allowPrefixBreak, cap);
-    const auto suffixes = enumeratePaths(flat, faults, segV, flat.scanOut(),
-                                         allowSuffixBreak, cap);
-    for (const auto& prefix : prefixes) {
-      for (const auto& suffix : suffixes) {
-        if (out.size() > cap) return out;  // entry 0 is the nominal recipe
-        push(joinSelections(flat, prefix, suffix, faults), true);
-      }
-    }
-  }
-  return out;
-}
-
 RetargetResult Retargeter::readInstrument(rsn::InstrumentId i) {
   RRSN_OBS_SPAN("sim.read");
   const rsn::Network& net = sim_->network();
-  const rsn::SegmentId seg = net.instrument(i).segment;
-  const std::vector<fault::Fault> faults = sim_->injectedFaults();
-
-  RetargetResult best;
-  if (breaksSegment(faults, seg)) {
-    recordAccess(best);
-    return best;  // the instrument's own segment is dead
-  }
-
-  // For reads the scan-out side must be clean; a broken segment on the
-  // scan-in side only shifts garbage in behind the marker.
-  bool first = true;
-  for (const auto& [selections, rerouted] : candidateSelections(
-           *flat_, faults, seg, /*breakBeforeSegTolerable=*/true, options_)) {
-    // A failed attempt can leave X in address registers (a shift across
-    // a broken segment poisons everything downstream, including SIB
-    // registers that sit behind their content), with no scan-accessible
-    // recovery.  Power-cycle between candidate recipes: each one starts
-    // from the reset image with only the physical defects persisting,
-    // which also makes the recorded patterns replayable from power-on.
-    if (!first) {
-      sim_->reset();
-      sim_->injectFaults(faults);
-    }
-    first = false;
-    RetargetResult attempt = realizeSelections(selections);
-    if (!attempt.success) continue;
-
-    const auto path = sim_->activePath();
-    if (!path || !onPath(*path, seg)) continue;
-
-    const auto marker = accessMarker(net.segment(seg).length);
-    sim_->setInstrumentValue(i, marker);
-    const std::vector<Bit> in(path->totalBits, Bit::Zero);
-    const auto out = sim_->csu(in);
-    attempt.patterns.push_back({in, out});
-    ++attempt.rounds;
-
-    const auto offset = ScanSimulator::offsetOf(net, *path, seg);
-    bool ok = offset.has_value();
-    if (ok) {
-      for (std::uint32_t k = 0; k < marker.size(); ++k) {
-        const std::size_t pos = path->totalBits - 1 - (*offset + k);
-        if (out[pos] != marker[k]) {
-          ok = false;
-          break;
-        }
-      }
-    }
-    if (ok) {
-      attempt.success = true;
-      attempt.rerouted = rerouted;
-      recordAccess(attempt);
-      return attempt;
-    }
-  }
-  recordAccess(best);
-  return best;
+  return access(i, accessMarker(net.segment(net.instrument(i).segment).length),
+                /*isRead=*/true);
 }
 
 RetargetResult Retargeter::writeInstrument(rsn::InstrumentId i,
                                            const std::vector<Bit>& value) {
   RRSN_OBS_SPAN("sim.write");
   const rsn::Network& net = sim_->network();
-  const rsn::SegmentId seg = net.instrument(i).segment;
-  RRSN_CHECK(value.size() == net.segment(seg).length,
+  RRSN_CHECK(value.size() == net.segment(net.instrument(i).segment).length,
              "write value length mismatch");
+  return access(i, value, /*isRead=*/false);
+}
+
+/// Recipes (mux-selection maps) are tried in a fixed order, each as soon
+/// as it is planned.  First the *nominal* recipe: the shortest
+/// fault-unaware path, exactly what a controller without fault knowledge
+/// would apply.  Only once it has failed are fault-aware reroutes planned
+/// from the bounded path enumeration; the second strategy additionally
+/// tolerates broken segments on the side the payload never crosses (the
+/// scan-in side for reads, the scan-out side for writes).  A recipe equal
+/// to an earlier one is skipped, and at most 1 + maxReroutes are tried.
+RetargetResult Retargeter::access(rsn::InstrumentId i,
+                                  const std::vector<Bit>& payload,
+                                  bool isRead) {
+  const rsn::Network& net = sim_->network();
+  const rsn::SegmentId seg = net.instrument(i).segment;
+  const graph::VertexId segV = flat_->segmentVertex()[seg];
   const std::vector<fault::Fault> faults = sim_->injectedFaults();
 
-  RetargetResult best;
-  if (breaksSegment(faults, seg)) {
-    recordAccess(best);
-    return best;
-  }
-
-  // For writes the scan-in side must be clean; the scan-out side may
-  // contain broken segments (the value never travels through them).
-  // As in readInstrument, each candidate recipe starts from power-on.
-  bool first = true;
-  for (const auto& [selections, rerouted] : candidateSelections(
-           *flat_, faults, seg, /*breakBeforeSegTolerable=*/false, options_)) {
-    if (!first) {
+  RetargetResult result;
+  std::vector<Selections> tried;
+  // Applies one recipe, then moves the payload; true once the access
+  // worked, with `result` holding it.
+  const auto attempt = [&](Selections selections, bool rerouted) {
+    if (std::find(tried.begin(), tried.end(), selections) != tried.end())
+      return false;
+    // A failed attempt can leave X in address registers (a shift across
+    // a broken segment poisons everything downstream, including SIB
+    // registers that sit behind their content), with no scan-accessible
+    // recovery.  Power-cycle between recipes: each one starts from the
+    // reset image with only the physical defects persisting, which also
+    // makes the recorded patterns replayable from power-on.
+    if (!tried.empty()) {
       sim_->reset();
       sim_->injectFaults(faults);
     }
-    first = false;
-    RetargetResult attempt = realizeSelections(selections);
-    if (!attempt.success) continue;
-
+    tried.push_back(std::move(selections));
+    RetargetResult res = realizeSelections(tried.back());
+    if (!res.success) return false;
     const auto path = sim_->activePath();
-    if (!path || !onPath(*path, seg)) continue;
-    const auto offset = ScanSimulator::offsetOf(net, *path, seg);
-    if (!offset) continue;
+    const auto offset =
+        path ? ScanSimulator::offsetOf(net, *path, seg) : std::nullopt;
+    if (!offset) return false;
 
-    // Image: keep every segment's configuration, place `value` at seg.
-    std::vector<Bit> image;
-    image.reserve(path->totalBits);
-    for (rsn::SegmentId s : path->segments) {
-      if (s == seg) {
-        image.insert(image.end(), value.begin(), value.end());
-      } else {
-        for (Bit b : sim_->segmentUpdate(s))
-          image.push_back(b == Bit::X ? Bit::Zero : b);
+    std::vector<Bit> in;
+    if (isRead) {
+      // The instrument presents the marker; zeros push it to scan-out.
+      sim_->setInstrumentValue(i, payload);
+      in.assign(path->totalBits, Bit::Zero);
+    } else {
+      // Image: keep every segment's configuration, place the value at seg.
+      std::vector<Bit> image;
+      image.reserve(path->totalBits);
+      for (rsn::SegmentId s : path->segments) {
+        if (s == seg) {
+          image.insert(image.end(), payload.begin(), payload.end());
+        } else {
+          for (Bit b : sim_->segmentUpdate(s))
+            image.push_back(b == Bit::X ? Bit::Zero : b);
+        }
+      }
+      in = ScanSimulator::shiftInForImage(image);
+    }
+    const auto out = sim_->csu(in);
+    res.patterns.push_back({in, out});
+    ++res.rounds;
+
+    // A read needs the marker at scan-out unpoisoned (a broken segment
+    // on the scan-in side only shifts garbage in behind it); a write
+    // needs the update register to hold the value exactly.
+    if (isRead) {
+      for (std::size_t k = 0; k < payload.size(); ++k)
+        if (out[path->totalBits - 1 - (*offset + k)] != payload[k])
+          return false;
+    } else if (sim_->segmentUpdate(seg) != payload) {
+      return false;
+    }
+    res.rerouted = rerouted;
+    result = std::move(res);
+    return true;
+  };
+
+  // `stop` ends the search: the access worked, the cap is spent, or the
+  // instrument's own segment is broken (dead whatever the recipe).
+  bool stop = breaksSegment(faults, seg);
+  if (!stop) {  // the nominal recipe: paths and selections ignore faults
+    const auto prefix = findPath(*flat_, {}, flat_->scanIn(), segV, false);
+    const auto suffix = findPath(*flat_, {}, segV, flat_->scanOut(), false);
+    stop = prefix && suffix &&
+           attempt(joinSelections(*flat_, *prefix, *suffix, {}), false);
+  }
+  // Reroutes, planned only now that the nominal recipe has failed.
+  const std::size_t cap = options_.maxReroutes;
+  for (const bool tolerateBreak : {false, true}) {
+    if (stop || faults.empty() || (tolerateBreak && !containsBreak(faults)))
+      break;
+    const auto prefixes = enumeratePaths(*flat_, faults, flat_->scanIn(), segV,
+                                         tolerateBreak && isRead, cap);
+    const auto suffixes = enumeratePaths(*flat_, faults, segV,
+                                         flat_->scanOut(),
+                                         tolerateBreak && !isRead, cap);
+    for (std::size_t p = 0; p < prefixes.size() && !stop; ++p) {
+      for (std::size_t q = 0; q < suffixes.size() && !stop; ++q) {
+        stop = tried.size() > cap ||
+               attempt(joinSelections(*flat_, prefixes[p], suffixes[q], faults),
+                       true);
       }
     }
-    const auto in = ScanSimulator::shiftInForImage(image);
-    const auto out = sim_->csu(in);
-    attempt.patterns.push_back({in, out});
-    ++attempt.rounds;
-
-    if (sim_->segmentUpdate(seg) == value) {
-      attempt.success = true;
-      attempt.rerouted = rerouted;
-      recordAccess(attempt);
-      return attempt;
-    }
   }
-  recordAccess(best);
-  return best;
-}
-
-AccessReport strictAccessibility(const rsn::Network& net,
-                                 const fault::Fault* f) {
-  AccessReport report;
-  const std::size_t n = net.instruments().size();
-  report.observable = DynamicBitset(n);
-  report.settable = DynamicBitset(n);
-  const auto flat = rsn::FlatNetwork::lower(net);
-  for (rsn::InstrumentId i = 0; i < n; ++i) {
-    {
-      ScanSimulator sim(net);
-      if (f != nullptr) sim.injectFault(*f);
-      Retargeter rt(sim, *flat);
-      if (rt.readInstrument(i).success) report.observable.set(i);
-    }
-    {
-      ScanSimulator sim(net);
-      if (f != nullptr) sim.injectFault(*f);
-      Retargeter rt(sim, *flat);
-      const auto marker =
-          accessMarker(net.segment(net.instrument(i).segment).length);
-      if (rt.writeInstrument(i, marker).success) report.settable.set(i);
-    }
-  }
-  return report;
-}
-
-AccessReport structuralAccessibility(const rsn::FlatNetwork& flat,
-                                     const fault::Fault* f) {
-  AccessReport report;
-  const std::size_t n = flat.instrumentCount();
-  report.observable = DynamicBitset(n);
-  report.settable = DynamicBitset(n);
-  report.observable.setAll();
-  report.settable.setAll();
-  if (f != nullptr) {
-    const auto loss = fault::lossUnderFaultGraph(flat, *f);
-    loss.unobservable.forEachSet(
-        [&](std::size_t i) { report.observable.reset(i); });
-    loss.unsettable.forEachSet(
-        [&](std::size_t i) { report.settable.reset(i); });
-  }
-  return report;
+  recordAccess(result);
+  return result;
 }
 
 }  // namespace rrsn::sim

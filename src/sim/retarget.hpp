@@ -4,24 +4,26 @@
 // from scan-in to its segment; segment-controlled muxes (SIBs, address
 // registers) must be written through the RSN itself, which takes one CSU
 // round per hierarchy level.  The engine below reproduces that protocol
-// and — because it runs on the fault-injecting simulator — doubles as the
-// *strict* accessibility oracle: an instrument counts as observable /
-// settable only if a marker value actually makes it through the defect
-// RSN end to end.  This is stronger than the paper's structural analysis
-// (which assumes control bits can always be applied); the
-// bench_control_dependency ablation quantifies the difference.
+// and — because it runs on the fault-injecting simulator — is the
+// *strict* accessibility oracle (diag::FaultDictionary::measure): an
+// instrument counts as observable / settable only if a marker value
+// actually makes it through the defect RSN end to end.  This is stronger
+// than the paper's structural analysis (which assumes control bits can
+// always be applied); the bench_control_dependency ablation quantifies
+// the difference.
 //
 // The engine only *proposes* recipes: it searches scan paths over the
 // lowered network (the FlatNetwork arena's guarded CSR) and turns them
 // into mux selections.  Whether a recipe works is decided by executing
 // it on the simulator, which models the Structure tree independently.
+// The nominal recipe is tried first; fault-aware reroutes are planned
+// only once it has failed.
 #pragma once
 
 #include <map>
 
 #include "rsn/flat.hpp"
 #include "sim/simulator.hpp"
-#include "support/bitset.hpp"
 
 namespace rrsn::sim {
 
@@ -36,14 +38,13 @@ struct ScanPattern {
 /// control writes) degrades into a failed RetargetResult instead of an
 /// unbounded configuration loop.
 struct RetargetOptions {
-  /// CSU rounds allowed per realizeSelections attempt; 0 = automatic
+  /// CSU rounds allowed per recipe to configure the path; 0 = automatic
   /// (deepest mux nesting + 2, enough for any healthy access).
   std::size_t maxRounds = 0;
-  /// After the nominal (fault-unaware) recipe fails, search for
-  /// alternative scan paths that route around the injected fault.
-  bool allowReroute = true;
-  /// Alternative-path realizations attempted per access; caps both the
-  /// path enumeration and the CSU work spent on graceful degradation.
+  /// Alternative scan paths that route around the injected faults,
+  /// attempted per access once the nominal (fault-unaware) recipe has
+  /// failed; caps both the path enumeration and the CSU work spent on
+  /// graceful degradation.  0 = the nominal recipe only.
   std::size_t maxReroutes = 8;
 };
 
@@ -82,13 +83,6 @@ class Retargeter {
   Retargeter(ScanSimulator& sim, const rsn::FlatNetwork& flat,
              RetargetOptions options = {});
 
-  /// Steers the given mux selections (segment-controlled muxes through
-  /// CSU rounds, TAP-controlled ones directly).  Selections of muxes not
-  /// listed are left alone.  Fails if the fault in the simulator blocks a
-  /// required write or the rounds budget is exhausted.
-  RetargetResult realizeSelections(
-      const std::map<rsn::MuxId, std::uint32_t>& selections);
-
   /// End-to-end read: configures a path through instrument i's segment,
   /// captures a marker from the instrument and checks the marker arrives
   /// at scan-out unpoisoned.
@@ -100,30 +94,24 @@ class Retargeter {
                                  const std::vector<Bit>& value);
 
  private:
+  using Selections = std::map<rsn::MuxId, std::uint32_t>;
+
+  /// The recipe loop behind both accesses.  For a read `payload` is the
+  /// marker the instrument presents, for a write the value shifted in.
+  RetargetResult access(rsn::InstrumentId i, const std::vector<Bit>& payload,
+                        bool isRead);
+
+  /// Steers the given mux selections (segment-controlled muxes through
+  /// CSU rounds, TAP-controlled ones directly).  Selections of muxes not
+  /// listed are left alone.  Fails if the fault in the simulator blocks a
+  /// required write or the rounds budget is exhausted.
+  RetargetResult realizeSelections(const Selections& selections);
+
   ScanSimulator* sim_;
   /// The topology never changes under a fault, so the arena is shared.
   const rsn::FlatNetwork* flat_;
   RetargetOptions options_;
   std::size_t maxRounds_;
 };
-
-/// Per-instrument accessibility under an optional fault.
-struct AccessReport {
-  DynamicBitset observable;
-  DynamicBitset settable;
-};
-
-/// Strict (simulation-backed) accessibility: runs the retargeting engine
-/// per instrument on a freshly reset simulator with `f` injected
-/// (nullptr: fault-free).  Exponentially safer but linear-time slower
-/// than the structural analysis; intended for small/medium networks.
-/// Lowers `net` once per call.
-AccessReport strictAccessibility(const rsn::Network& net,
-                                 const fault::Fault* f);
-
-/// Structural accessibility from the flat-graph oracle (the paper's
-/// semantics): complements fault::lossUnderFaultGraph.
-AccessReport structuralAccessibility(const rsn::FlatNetwork& flat,
-                                     const fault::Fault* f);
 
 }  // namespace rrsn::sim

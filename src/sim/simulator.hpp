@@ -81,16 +81,7 @@ class ScanSimulator {
   void injectFaults(std::vector<fault::Fault> faults) {
     faults_ = std::move(faults);
   }
-  /// Adds one more simultaneous permanent fault.
-  void addFault(const fault::Fault& f) { faults_.push_back(f); }
-  void clearFault() { faults_.clear(); }
   const std::vector<fault::Fault>& injectedFaults() const { return faults_; }
-  /// The first injected fault, if any — the single-fault view used by
-  /// call sites predating multi-fault campaigns.
-  std::optional<fault::Fault> injectedFault() const {
-    return faults_.empty() ? std::nullopt
-                           : std::optional<fault::Fault>(faults_.front());
-  }
 
   /// Arms a one-shot transient upset (replacing any pending one) and
   /// restarts the CSU round counter it is measured against.

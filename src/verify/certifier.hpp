@@ -128,10 +128,9 @@ struct CertifyOptions {
   std::size_t crossCheckSampleEvery = 16;
 };
 
-/// RRSN_CERTIFY_MODE=fast|checked; unset defaults to checked in debug
-/// builds and fast in release builds.  The one cross-check knob: it
-/// also covers the certifier runs behind fault dictionary builds and
-/// campaign oracles.
+/// RRSN_CERTIFY_MODE=fast|checked; unset (or unrecognized) means fast.
+/// The one cross-check knob: it also covers the certifier runs behind
+/// fault dictionary builds and campaign oracles.
 bool crossCheckDefault();
 
 /// Aggregate counters over one certification.

@@ -9,6 +9,7 @@
 //    exactly the report of an uninterrupted run.
 //  * On the fault-tolerant augmented topology the bounded reroute search
 //    recovers accesses (graceful degradation shows up as Recovered).
+//  * Every pair-campaign probe equals a re-probe on a fresh simulator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +28,9 @@
 #include "fault/fault.hpp"
 #include "harden/fault_tolerant.hpp"
 #include "rsn/example_networks.hpp"
+#include "rsn/flat.hpp"
 #include "rsn/spec.hpp"
+#include "sim/retarget.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 
@@ -60,6 +63,17 @@ DynamicBitset topQuartileCritical(const rsn::Network& net) {
   const std::size_t take = std::max<std::size_t>(1, ranking.size() / 4);
   for (std::size_t k = 0; k < take; ++k) hardened.set(ranking[k]);
   return hardened;
+}
+
+/// Every pair of the full universe, and 24 sampled pairs once the top
+/// quartile is hardened.
+std::vector<campaign::CampaignConfig> pairConfigs(const rsn::Network& net) {
+  campaign::CampaignConfig exhaustive;
+  exhaustive.mode = campaign::CampaignMode::Pairs;
+  campaign::CampaignConfig hardened = exhaustive;
+  hardened.sample = 24;
+  hardened.excludePrimitives = topQuartileCritical(net);
+  return {exhaustive, hardened};
 }
 
 TEST(Campaign, ExampleNetworksHaveZeroMismatches) {
@@ -297,7 +311,7 @@ TEST(Campaign, NoRerouteMeansNoRecovered) {
   const harden::FaultTolerantRsn ft =
       harden::augmentFaultTolerant(rsn::makeFig1Network());
   campaign::CampaignConfig config;
-  config.retarget.allowReroute = false;
+  config.retarget.maxReroutes = 0;
   const campaign::CampaignSummary s = runCampaign(ft.network, config).summary();
   EXPECT_EQ(s.readRecovered + s.writeRecovered, 0u);
 }
@@ -463,14 +477,7 @@ TEST(PairCampaign, CheckpointResumeMatchesUninterruptedRun) {
 TEST(PairCampaign, InteractionsAreDiffsNotMismatches) {
   for (const rsn::Network& net :
        {rsn::makeFig1Network(), rsn::makeTinyNetwork()}) {
-    // Every pair of the full universe, and 24 sampled pairs once the
-    // top quartile is hardened.
-    campaign::CampaignConfig exhaustive;
-    exhaustive.mode = campaign::CampaignMode::Pairs;
-    campaign::CampaignConfig hardened = exhaustive;
-    hardened.sample = 24;
-    hardened.excludePrimitives = topQuartileCritical(net);
-    for (const campaign::CampaignConfig& config : {exhaustive, hardened}) {
+    for (const campaign::CampaignConfig& config : pairConfigs(net)) {
       const std::string tag =
           net.name() + (config.excludePrimitives.empty() ? "" : " hardened");
       const campaign::CampaignResult result = runCampaign(net, config);
@@ -496,6 +503,44 @@ TEST(PairCampaign, InteractionsAreDiffsNotMismatches) {
           EXPECT_FALSE(config.excludePrimitives.test(
               net.linearId(fault::refOf(f))))
               << tag << ": " << fault::describe(net, f);
+      }
+    }
+  }
+}
+
+TEST(PairCampaign, ProbesMatchFreshSimulatorReference) {
+  // The engine probes a scenario's instruments on one simulator, reset
+  // between probes.  Every classification must equal a re-probe on a
+  // fresh simulator and retargeter per access: state leaking across
+  // probes would show up here, not as an oracle interaction.
+  for (const rsn::Network& net :
+       {rsn::makeFig1Network(), rsn::makeTinyNetwork()}) {
+    const auto flat = rsn::FlatNetwork::lower(net);
+    for (const campaign::CampaignConfig& config : pairConfigs(net)) {
+      const campaign::CampaignResult result = runCampaign(net, config);
+      ASSERT_FALSE(result.records.empty()) << net.name();
+      for (const campaign::FaultRecord& rec : result.records) {
+        ASSERT_TRUE(rec.done);
+        for (rsn::InstrumentId i = 0; i < result.instruments; ++i) {
+          for (const bool isRead : {true, false}) {
+            sim::ScanSimulator sim(net);
+            sim.injectFaults(rec.scenario.permanentFaults());
+            sim::Retargeter engine(sim, *flat, config.retarget);
+            const std::uint32_t len =
+                net.segment(net.instrument(i).segment).length;
+            char expected = 'L';
+            try {
+              const sim::RetargetResult r =
+                  isRead ? engine.readInstrument(i)
+                         : engine.writeInstrument(i, sim::accessMarker(len));
+              if (r.success) expected = r.rerouted ? 'R' : 'A';
+            } catch (const Error&) {
+            }
+            EXPECT_EQ((isRead ? rec.read : rec.write)[i], expected)
+                << campaign::describe(net, rec.scenario) << " instrument "
+                << net.instrument(i).name << (isRead ? " read" : " write");
+          }
+        }
       }
     }
   }

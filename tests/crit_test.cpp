@@ -109,17 +109,26 @@ TEST(Criticality, HardenedPrimitiveContributesNoDamage) {
 }
 
 // Property: fast hierarchical analysis == brute-force graph analysis on
-// random networks with random specifications.
+// random networks with random specifications, under every mux damage
+// policy (so per-branch stuck damages are compared, not only their
+// worst case).
 class AnalyzerEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AnalyzerEquivalence, FastMatchesBruteForce) {
   Rng rng(GetParam() * 1000 + 17);
   const rsn::Network net = test::randomNetwork(rng);
   const auto spec = test::randomSpecFor(net, rng);
-  const auto fast = CriticalityAnalyzer(net, spec).run();
-  const auto brute = bruteForceAnalysis(net, spec);
-  ASSERT_EQ(fast.damages(), brute.damages()) << "seed=" << GetParam();
-  EXPECT_EQ(fast.totalDamage(), brute.totalDamage());
+  for (const MuxDamagePolicy policy :
+       {MuxDamagePolicy::WorstCase, MuxDamagePolicy::Sum,
+        MuxDamagePolicy::Mean}) {
+    AnalysisOptions opt;
+    opt.muxPolicy = policy;
+    const auto fast = CriticalityAnalyzer(net, spec, opt).run();
+    const auto brute = bruteForceAnalysis(net, spec, opt);
+    ASSERT_EQ(fast.damages(), brute.damages())
+        << "seed=" << GetParam() << " policy=" << static_cast<int>(policy);
+    EXPECT_EQ(fast.totalDamage(), brute.totalDamage());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AnalyzerEquivalence,

@@ -142,7 +142,6 @@ TEST(FaultEffects, DamageOfLossMatchesWeights) {
   const auto loss = lossUnderFaultTree(tree, f);
   // All obs (9) + all set (9).
   EXPECT_EQ(damageOfLoss(spec, loss), 18u);
-  EXPECT_EQ(damageUnderFaultTree(tree, f), 18u);
 }
 
 TEST(FaultEffects, TreeAndGraphOraclesAgreeOnFig1) {
@@ -157,8 +156,6 @@ TEST(FaultEffects, TreeAndGraphOraclesAgreeOnFig1) {
     const auto g = lossUnderFaultGraph(*flat, f);
     EXPECT_EQ(t.unobservable, g.unobservable) << describe(net, f);
     EXPECT_EQ(t.unsettable, g.unsettable) << describe(net, f);
-    EXPECT_EQ(damageUnderFaultTree(tree, f), damageOfLoss(spec, t))
-        << describe(net, f);
   }
 }
 
@@ -182,8 +179,6 @@ TEST_P(FaultOracleEquivalence, TreeMatchesGraph) {
         << net.name() << " seed=" << GetParam() << " " << describe(net, f);
     ASSERT_EQ(t.unsettable, g.unsettable)
         << net.name() << " seed=" << GetParam() << " " << describe(net, f);
-    ASSERT_EQ(damageUnderFaultTree(tree, f), damageOfLoss(spec, t))
-        << describe(net, f);
   }
 }
 

@@ -1,18 +1,32 @@
 #include <gtest/gtest.h>
 
+#include "diag/diagnosis.hpp"
+#include "fault/effects.hpp"
 #include "harden/fault_tolerant.hpp"
 #include "rsn/example_networks.hpp"
 #include "sim/retarget.hpp"
 #include "sim/simulator.hpp"
+#include "support/hash.hpp"
 #include "test_util.hpp"
 
 namespace rrsn::sim {
 namespace {
 
+using diag::FaultDictionary;
+using diag::Syndrome;
 using fault::Fault;
 using rsn::makeFig1Network;
 
 std::vector<Bit> bits(const std::string& s) { return bitsFromString(s); }
+
+// Strict accessibility reads a syndrome: bit 2i is the read of
+// instrument i, bit 2i+1 its write, each on a fresh simulator.
+bool observable(const Syndrome& s, rsn::InstrumentId i) {
+  return s.passed.test(2 * i);
+}
+bool settable(const Syndrome& s, rsn::InstrumentId i) {
+  return s.passed.test(2 * i + 1);
+}
 
 TEST(Bits, StringConversions) {
   EXPECT_EQ(toString(bits("01x")), "01x");
@@ -141,29 +155,26 @@ TEST(Retarget, WritesInstrumentValue) {
 
 TEST(Retarget, FaultFreeEverythingAccessible) {
   const rsn::Network net = makeFig1Network();
-  const AccessReport strict = strictAccessibility(net, nullptr);
-  EXPECT_EQ(strict.observable.count(), net.instruments().size());
-  EXPECT_EQ(strict.settable.count(), net.instruments().size());
+  const Syndrome strict = FaultDictionary::measure(net, nullptr);
+  EXPECT_EQ(strict.passed.count(), 2 * net.instruments().size());
 }
 
 TEST(Retarget, StuckM0MakesAllInstrumentsInaccessible) {
   const rsn::Network net = makeFig1Network();
   const Fault f = Fault::muxStuck(net.findMux("m0"), 1);
-  const AccessReport strict = strictAccessibility(net, &f);
-  EXPECT_EQ(strict.observable.count(), 0u);
-  EXPECT_EQ(strict.settable.count(), 0u);
+  EXPECT_EQ(FaultDictionary::measure(net, &f).passed.count(), 0u);
 }
 
 TEST(Retarget, BrokenInstrumentSegmentOnlyKillsItself) {
   const rsn::Network net = makeFig1Network();
   const Fault f = Fault::segmentBreak(net.findSegment("seg_i2"));
-  const AccessReport strict = strictAccessibility(net, &f);
+  const Syndrome strict = FaultDictionary::measure(net, &f);
   const auto i2 = net.findInstrument("i2");
-  EXPECT_FALSE(strict.observable.test(i2));
-  EXPECT_FALSE(strict.settable.test(i2));
-  EXPECT_TRUE(strict.observable.test(net.findInstrument("i1")));
-  EXPECT_TRUE(strict.observable.test(net.findInstrument("i3")));
-  EXPECT_TRUE(strict.settable.test(net.findInstrument("i1")));
+  EXPECT_FALSE(observable(strict, i2));
+  EXPECT_FALSE(settable(strict, i2));
+  EXPECT_TRUE(observable(strict, net.findInstrument("i1")));
+  EXPECT_TRUE(observable(strict, net.findInstrument("i3")));
+  EXPECT_TRUE(settable(strict, net.findInstrument("i1")));
 }
 
 TEST(Retarget, StrictNeverExceedsStructural) {
@@ -174,15 +185,15 @@ TEST(Retarget, StrictNeverExceedsStructural) {
   const auto flat = rsn::FlatNetwork::lower(net);
   const fault::FaultUniverse universe(net);
   for (const Fault& f : universe.faults()) {
-    const AccessReport strict = strictAccessibility(net, &f);
-    const AccessReport structural = structuralAccessibility(*flat, &f);
+    const Syndrome strict = FaultDictionary::measure(net, &f);
+    const fault::AccessibilityLoss loss = fault::lossUnderFaultGraph(*flat, f);
     for (rsn::InstrumentId i = 0; i < net.instruments().size(); ++i) {
-      if (strict.observable.test(i)) {
-        EXPECT_TRUE(structural.observable.test(i))
+      if (observable(strict, i)) {
+        EXPECT_FALSE(loss.unobservable.test(i))
             << fault::describe(net, f) << " instrument " << i;
       }
-      if (strict.settable.test(i)) {
-        EXPECT_TRUE(structural.settable.test(i))
+      if (settable(strict, i)) {
+        EXPECT_FALSE(loss.unsettable.test(i))
             << fault::describe(net, f) << " instrument " << i;
       }
     }
@@ -201,11 +212,11 @@ TEST(Retarget, ControlDependencyGapExists) {
   const fault::FaultUniverse universe(net);
   std::size_t gaps = 0;
   for (const Fault& f : universe.faults()) {
-    const AccessReport strict = strictAccessibility(net, &f);
-    const AccessReport structural = structuralAccessibility(*flat, &f);
+    const Syndrome strict = FaultDictionary::measure(net, &f);
+    const fault::AccessibilityLoss loss = fault::lossUnderFaultGraph(*flat, f);
     for (rsn::InstrumentId i = 0; i < net.instruments().size(); ++i) {
-      gaps += structural.observable.test(i) && !strict.observable.test(i);
-      gaps += structural.settable.test(i) && !strict.settable.test(i);
+      gaps += !loss.unobservable.test(i) && !observable(strict, i);
+      gaps += !loss.unsettable.test(i) && !settable(strict, i);
     }
   }
   EXPECT_GT(gaps, 0u);
@@ -220,10 +231,8 @@ TEST_P(RetargetSweep, FaultFreeFullAccess) {
   test::RandomNetOptions opt;
   opt.targetSegments = 20;
   const rsn::Network net = test::randomNetwork(rng, opt);
-  const AccessReport strict = strictAccessibility(net, nullptr);
-  EXPECT_EQ(strict.observable.count(), net.instruments().size())
-      << "seed=" << GetParam();
-  EXPECT_EQ(strict.settable.count(), net.instruments().size())
+  const Syndrome strict = FaultDictionary::measure(net, nullptr);
+  EXPECT_EQ(strict.passed.count(), 2 * net.instruments().size())
       << "seed=" << GetParam();
 }
 
@@ -356,8 +365,8 @@ TEST(RetargetBounds, StuckMuxWriteFailsWithinRoundCap) {
 }
 
 TEST(RetargetBounds, RerouteBudgetIsHonored) {
-  // With rerouting disabled the engine only tries the nominal recipe;
-  // allowing it again on the augmented topology recovers the access.
+  // With a reroute budget of 0 the engine only tries the nominal recipe;
+  // the default budget on the augmented topology recovers the access.
   const harden::FaultTolerantRsn ft =
       harden::augmentFaultTolerant(makeFig1Network());
   const rsn::Network& net = ft.network;
@@ -367,7 +376,7 @@ TEST(RetargetBounds, RerouteBudgetIsHonored) {
   ScanSimulator noReroute(net);
   noReroute.injectFault(f);
   RetargetOptions off;
-  off.allowReroute = false;
+  off.maxReroutes = 0;
   const auto denied = Retargeter(noReroute, *flat, off)
                           .readInstrument(net.findInstrument("i3"));
 
@@ -382,6 +391,63 @@ TEST(RetargetBounds, RerouteBudgetIsHonored) {
   } else {
     EXPECT_TRUE(recovered.rerouted);
   }
+}
+
+// Pins every recipe the retargeter applies: the success and reroute
+// flags, CSU rounds, each pattern's shift-in and shift-out and the
+// external selections of every instrument's read and write, fault-free
+// and under every single fault, on both example networks and their
+// fault-tolerant augmentations, at reroute caps 0, 1, 2 and 8 (an
+// off-by-one in the cap leaves the default cap's results unchanged).
+// Recipe order, dedupe, the cap and every CSU bit are part of the
+// retargeter's contract: a faster search or shift must keep this digest.
+TEST(RetargetRecipes, DigestIsPinned) {
+  std::uint64_t h = hash::kFnvOffset;
+  std::size_t rerouted = 0;
+  const auto fold = [&](const RetargetResult& r) {
+    hash::fnvMix(h, std::uint64_t{r.success});
+    hash::fnvMix(h, std::uint64_t{r.rerouted});
+    hash::fnvMix(h, r.rounds);
+    hash::fnvMix(h, r.patterns.size());
+    for (const ScanPattern& p : r.patterns) {
+      hash::fnvMix(h, toString(p.shiftIn));
+      hash::fnvMix(h, toString(p.shiftOut));
+    }
+    hash::fnvMix(h, r.externalSelections.size());
+    for (const auto& [mux, branch] : r.externalSelections) {
+      hash::fnvMix(h, mux);
+      hash::fnvMix(h, branch);
+    }
+    rerouted += r.rerouted;
+  };
+  std::vector<rsn::Network> nets{makeFig1Network(), rsn::makeTinyNetwork()};
+  nets.push_back(harden::augmentFaultTolerant(nets[0]).network);
+  nets.push_back(harden::augmentFaultTolerant(nets[1]).network);
+  for (const rsn::Network& net : nets) {
+    const auto flat = rsn::FlatNetwork::lower(net);
+    const fault::FaultUniverse universe(net);
+    std::vector<std::vector<Fault>> scenarios{{}};
+    for (const Fault& f : universe.faults()) scenarios.push_back({f});
+    for (const std::size_t cap : {0U, 1U, 2U, 8U}) {
+      RetargetOptions options;
+      options.maxReroutes = cap;
+      for (const std::vector<Fault>& faults : scenarios) {
+        for (rsn::InstrumentId i = 0; i < net.instruments().size(); ++i) {
+          for (const bool isRead : {true, false}) {
+            ScanSimulator sim(net);
+            sim.injectFaults(faults);
+            Retargeter rt(sim, *flat, options);
+            const std::uint32_t len =
+                net.segment(net.instrument(i).segment).length;
+            fold(isRead ? rt.readInstrument(i)
+                        : rt.writeInstrument(i, accessMarker(len)));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(rerouted, 0u);
+  EXPECT_EQ(h, 0xa7c2fb16649ef799ULL);
 }
 
 // ------------------------------------------------ multi-fault injection
@@ -406,12 +472,9 @@ TEST(MultiFault, TwoBreaksPoisonBothDownstreamRanges) {
 TEST(MultiFault, StuckMuxAndBreakCombine) {
   const rsn::Network net = makeFig1Network();
   ScanSimulator sim(net);
-  sim.injectFault(Fault::muxStuck(net.findMux("m0"), 1));
-  sim.addFault(Fault::segmentBreak(net.findSegment("c0")));
+  sim.injectFaults({Fault::muxStuck(net.findMux("m0"), 1),
+                    Fault::segmentBreak(net.findSegment("c0"))});
   ASSERT_EQ(sim.injectedFaults().size(), 2u);
-  // The single-fault view still reports the first injected fault.
-  ASSERT_TRUE(sim.injectedFault().has_value());
-  EXPECT_EQ(sim.injectedFault()->kind, fault::FaultKind::MuxStuck);
   // The stuck mux forces the bypass path c0 -> c1 regardless of the
   // address; the break on c0 then poisons everything downstream of it.
   EXPECT_EQ(sim.muxSelection(net.findMux("m0")), 1u);

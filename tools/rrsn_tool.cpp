@@ -368,7 +368,6 @@ int cmdCampaign(const Args& a) {
           parseUintBounded(part, "--transient-rounds", 0, 1000000)));
   }
   config.seed = a.num(api::kSeed);
-  config.retarget.allowReroute = !a.has("--no-reroute");
   config.retarget.maxReroutes = a.num(api::kMaxReroutes);
   config.checkpointEvery = a.num(api::kBatch);
   config.lint = !a.has("--no-lint");
@@ -580,7 +579,7 @@ const std::vector<Command>& commands() {
        "cross-validated against the structural oracles",
        {"--pairs", "--transient", "--transient-rounds N,...", api::kSample,
         "--sample-fraction F", api::kSeed, api::kDeadlineMs,
-        "--checkpoint file", api::kBatch, api::kMaxReroutes, "--no-reroute",
+        "--checkpoint file", api::kBatch, api::kMaxReroutes,
         "--csv file", "--json file", "--no-lint"},
        cmdCampaign},
       {"bench", "<netlist>", "print the network as netlist text", {},
