@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -160,22 +158,49 @@ void tallyByKind(const FaultScenario& s, std::size_t& breaks,
   }
 }
 
-/// Collects sim-vs-reference disagreements of one finished record.
-void collectDiffs(const FaultRecord& rec, std::size_t instruments,
-                  const DynamicBitset& refObservable,
-                  const DynamicBitset& refSettable,
-                  std::vector<Mismatch>& items) {
-  for (std::size_t i = 0; i < instruments; ++i) {
-    const auto inst = static_cast<rsn::InstrumentId>(i);
-    if (rec.readAccessible(i) != refObservable.test(i)) {
-      items.push_back({rec.scenario, inst, /*isRead=*/true,
-                       outcomeFromChar(rec.read[i]), refObservable.test(i)});
-    }
-    if (rec.writeAccessible(i) != refSettable.test(i)) {
-      items.push_back({rec.scenario, inst, /*isRead=*/false,
-                       outcomeFromChar(rec.write[i]), refSettable.test(i)});
+/// Sim-vs-reference disagreements of every finished record, against
+/// one of its references (`which` selects expected or structural).
+std::vector<Mismatch> diffs(const CampaignResult& result,
+                            Expectation References::*which) {
+  std::vector<Mismatch> items;
+  for (const FaultRecord& rec : result.records) {
+    if (!rec.done) continue;
+    const Expectation ref = result.references(rec.scenario).*which;
+    for (std::size_t i = 0; i < result.instruments; ++i) {
+      const auto inst = static_cast<rsn::InstrumentId>(i);
+      if (rec.readAccessible(i) != ref.observable.test(i)) {
+        items.push_back({rec.scenario, inst, /*isRead=*/true,
+                         outcomeFromChar(rec.read[i]), ref.observable.test(i)});
+      }
+      if (rec.writeAccessible(i) != ref.settable.test(i)) {
+        items.push_back({rec.scenario, inst, /*isRead=*/false,
+                         outcomeFromChar(rec.write[i]), ref.settable.test(i)});
+      }
     }
   }
+  return items;
+}
+
+/// The pair composition of two single-fault rows: accessible iff
+/// accessible under each fault alone.
+Expectation both(const Expectation& x, const Expectation& y) {
+  Expectation e = x;
+  e.observable &= y.observable;
+  e.settable &= y.settable;
+  return e;
+}
+
+/// Instruments on which two rows differ in either direction.
+std::size_t disagreements(const Expectation& x, const Expectation& y,
+                          std::size_t instruments) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < instruments; ++i) {
+    if (x.observable.test(i) != y.observable.test(i) ||
+        x.settable.test(i) != y.settable.test(i)) {
+      n += 1;
+    }
+  }
+  return n;
 }
 
 }  // namespace
@@ -192,6 +217,35 @@ Expectation expectedAccessibility(const diag::BatchedSyndromeEngine& engine,
   return e;
 }
 
+References CampaignResult::references(const FaultScenario& s) const {
+  References r;
+  switch (s.kind) {
+    case CampaignMode::Single:
+      r.structural = oracles.graph[s.aIdx];
+      r.expected = oracles.expect[s.aIdx];
+      r.oracleDisagreements =
+          disagreements(r.structural, oracles.tree[s.aIdx], instruments);
+      break;
+    case CampaignMode::Pairs:
+      r.structural = both(oracles.graph[s.aIdx], oracles.graph[s.bIdx]);
+      r.expected = both(oracles.expect[s.aIdx], oracles.expect[s.bIdx]);
+      r.oracleDisagreements = disagreements(
+          r.structural, both(oracles.tree[s.aIdx], oracles.tree[s.bIdx]),
+          instruments);
+      break;
+    case CampaignMode::Transient:
+      // No permanent defect: the plain structural oracle predicts full
+      // access, and the expected verdict is the fault-free row — any
+      // probe the recovery retry cannot rescue is a mismatch.
+      r.structural = {DynamicBitset(instruments), DynamicBitset(instruments)};
+      r.structural.observable.setAll();
+      r.structural.settable.setAll();
+      r.expected = oracles.faultFree;
+      break;
+  }
+  return r;
+}
+
 CampaignSummary CampaignResult::summary() const {
   CampaignSummary s;
   s.mode = mode;
@@ -199,8 +253,9 @@ CampaignSummary CampaignResult::summary() const {
   s.instruments = instruments;
   for (const FaultRecord& rec : records) {
     if (!rec.done) continue;
+    const References ref = references(rec.scenario);
     s.faultsDone += 1;
-    s.oracleDisagreements += rec.oracleDisagreements;
+    s.oracleDisagreements += ref.oracleDisagreements;
     for (std::size_t i = 0; i < instruments; ++i) {
       switch (outcomeFromChar(rec.read[i])) {
         case Outcome::Accessible:
@@ -238,24 +293,24 @@ CampaignSummary CampaignResult::summary() const {
         // Disagreements with the pair-composed oracle are interaction
         // effects (composition is a bound, not ground truth), never
         // engine errors — they get their own counters.
-        if (readAcc != rec.expectObservable.test(i))
+        if (readAcc != ref.expected.observable.test(i))
           (readAcc ? s.pairMasked : s.pairCompounded) += 1;
-        if (writeAcc != rec.expectSettable.test(i))
+        if (writeAcc != ref.expected.settable.test(i))
           (writeAcc ? s.pairMasked : s.pairCompounded) += 1;
       } else {
-        if (readAcc != rec.expectObservable.test(i)) {
+        if (readAcc != ref.expected.observable.test(i)) {
           s.readMismatches += 1;
           tallyByKind(rec.scenario, s.segmentBreakMismatches,
                       s.muxStuckMismatches);
         }
-        if (writeAcc != rec.expectSettable.test(i)) {
+        if (writeAcc != ref.expected.settable.test(i)) {
           s.writeMismatches += 1;
           tallyByKind(rec.scenario, s.segmentBreakMismatches,
                       s.muxStuckMismatches);
         }
       }
-      if (readAcc != rec.structObservable.test(i) ||
-          writeAcc != rec.structSettable.test(i)) {
+      if (readAcc != ref.structural.observable.test(i) ||
+          writeAcc != ref.structural.settable.test(i)) {
         tallyByKind(rec.scenario, s.segmentBreakGapPairs, s.muxStuckGapPairs);
       }
     }
@@ -264,35 +319,17 @@ CampaignSummary CampaignResult::summary() const {
 }
 
 std::vector<Mismatch> CampaignResult::mismatches() const {
-  std::vector<Mismatch> items;
-  if (mode == CampaignMode::Pairs) return items;  // see pairInteractions()
-  for (const FaultRecord& rec : records) {
-    if (!rec.done) continue;
-    collectDiffs(rec, instruments, rec.expectObservable, rec.expectSettable,
-                 items);
-  }
-  return items;
+  if (mode == CampaignMode::Pairs) return {};  // see pairInteractions()
+  return diffs(*this, &References::expected);
 }
 
 std::vector<Mismatch> CampaignResult::pairInteractions() const {
-  std::vector<Mismatch> items;
-  if (mode != CampaignMode::Pairs) return items;
-  for (const FaultRecord& rec : records) {
-    if (!rec.done) continue;
-    collectDiffs(rec, instruments, rec.expectObservable, rec.expectSettable,
-                 items);
-  }
-  return items;
+  if (mode != CampaignMode::Pairs) return {};
+  return diffs(*this, &References::expected);
 }
 
 std::vector<Mismatch> CampaignResult::structuralGaps() const {
-  std::vector<Mismatch> items;
-  for (const FaultRecord& rec : records) {
-    if (!rec.done) continue;
-    collectDiffs(rec, instruments, rec.structObservable, rec.structSettable,
-                 items);
-  }
-  return items;
+  return diffs(*this, &References::structural);
 }
 
 RobustnessReport CampaignResult::robustness() const {
@@ -300,6 +337,7 @@ RobustnessReport CampaignResult::robustness() const {
   r.mode = mode;
   for (const FaultRecord& rec : records) {
     if (!rec.done) continue;
+    const Expectation expected = references(rec.scenario).expected;
     for (std::size_t i = 0; i < instruments; ++i) {
       const auto probe = [&](bool predicted, bool observed, char outcome) {
         r.probes += 1;
@@ -309,8 +347,8 @@ RobustnessReport CampaignResult::robustness() const {
         if (!predicted && observed) r.masked += 1;
         if (outcome == 'C') r.reconfigured += 1;
       };
-      probe(rec.expectObservable.test(i), rec.readAccessible(i), rec.read[i]);
-      probe(rec.expectSettable.test(i), rec.writeAccessible(i), rec.write[i]);
+      probe(expected.observable.test(i), rec.readAccessible(i), rec.read[i]);
+      probe(expected.settable.test(i), rec.writeAccessible(i), rec.write[i]);
     }
   }
   return r;
@@ -327,11 +365,6 @@ Status validateCampaignConfig(const CampaignConfig& config) {
     return Status::invalidArgument(
         "campaign sample and sampleFraction are mutually exclusive; set "
         "at most one");
-  }
-  if (config.deadlineMs == 0) {
-    return Status::invalidArgument(
-        "campaign deadline of 0 ms would cancel the run before the first "
-        "probe; omit the deadline instead");
   }
   if (!config.checkpointPath.empty()) {
     std::error_code ec;
@@ -583,73 +616,11 @@ void CampaignEngine::buildTransientUniverse() {
                 config_.seed);
 }
 
-/// Per-single-fault oracle rows computed once per run(): the expected
-/// (control-aware) verdicts from the certifier plus both plain
-/// structural oracles.  Pair scenarios compose entries by AND;
-/// transient scenarios use the fault-free row.
-struct CampaignEngine::OracleCache {
-  std::vector<Expectation> expect;       ///< per singles() index
-  std::vector<DynamicBitset> graphObs, graphSet;
-  std::vector<DynamicBitset> treeObs, treeSet;
-  Expectation faultFree;
-};
-
 FaultRecord CampaignEngine::probeScenario(
-    const OracleCache& oracles, const FaultScenario& s,
-    std::atomic<std::uint64_t>& probes) const {
+    const FaultScenario& s, std::atomic<std::uint64_t>& probes) const {
   FaultRecord rec;
   rec.scenario = s;
   const std::size_t n = net_->instruments().size();
-  switch (s.kind) {
-    case CampaignMode::Single: {
-      rec.structObservable = oracles.graphObs[s.aIdx];
-      rec.structSettable = oracles.graphSet[s.aIdx];
-      rec.expectObservable = oracles.expect[s.aIdx].observable;
-      rec.expectSettable = oracles.expect[s.aIdx].settable;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (oracles.graphObs[s.aIdx].test(i) !=
-                oracles.treeObs[s.aIdx].test(i) ||
-            oracles.graphSet[s.aIdx].test(i) !=
-                oracles.treeSet[s.aIdx].test(i)) {
-          rec.oracleDisagreements += 1;
-        }
-      }
-      break;
-    }
-    case CampaignMode::Pairs: {
-      rec.structObservable = oracles.graphObs[s.aIdx];
-      rec.structObservable &= oracles.graphObs[s.bIdx];
-      rec.structSettable = oracles.graphSet[s.aIdx];
-      rec.structSettable &= oracles.graphSet[s.bIdx];
-      rec.expectObservable = oracles.expect[s.aIdx].observable;
-      rec.expectObservable &= oracles.expect[s.bIdx].observable;
-      rec.expectSettable = oracles.expect[s.aIdx].settable;
-      rec.expectSettable &= oracles.expect[s.bIdx].settable;
-      DynamicBitset tObs = oracles.treeObs[s.aIdx];
-      tObs &= oracles.treeObs[s.bIdx];
-      DynamicBitset tSet = oracles.treeSet[s.aIdx];
-      tSet &= oracles.treeSet[s.bIdx];
-      for (std::size_t i = 0; i < n; ++i) {
-        if (rec.structObservable.test(i) != tObs.test(i) ||
-            rec.structSettable.test(i) != tSet.test(i)) {
-          rec.oracleDisagreements += 1;
-        }
-      }
-      break;
-    }
-    case CampaignMode::Transient: {
-      // No permanent defect: the plain structural oracle predicts full
-      // access, and the expected verdict is the fault-free row — any
-      // probe the recovery retry cannot rescue is a mismatch.
-      rec.structObservable = DynamicBitset(n);
-      rec.structSettable = DynamicBitset(n);
-      rec.structObservable.setAll();
-      rec.structSettable.setAll();
-      rec.expectObservable = oracles.faultFree.observable;
-      rec.expectSettable = oracles.faultFree.settable;
-      break;
-    }
-  }
   rec.read.assign(n, 'L');
   rec.write.assign(n, 'L');
   sim::ScanSimulator sim(*net_);
@@ -693,17 +664,16 @@ CampaignResult CampaignEngine::run() {
 
   // Per-single oracle rows, shared by every scenario of the sweep (a
   // pair composes two rows; recomputing them per pair would square the
-  // oracle cost).
-  OracleCache oracles;
+  // oracle cost).  Restored records get their references from this
+  // table too: checkpoints hold outcomes only.
   {
     RRSN_OBS_SPAN("campaign.oracles");
+    OracleTable& oracles = result.oracles;
     const std::size_t m = singles_.size();
     const std::size_t n = result.instruments;
     oracles.expect.resize(m);
-    oracles.graphObs.resize(m);
-    oracles.graphSet.resize(m);
-    oracles.treeObs.resize(m);
-    oracles.treeSet.resize(m);
+    oracles.graph.resize(m);
+    oracles.tree.resize(m);
     const sp::DecompositionTree tree = sp::DecompositionTree::build(*net_);
     // Expected rows: one certification over the same excluded
     // primitives, so its universe is singles_ in the same order.  The
@@ -736,28 +706,12 @@ CampaignResult CampaignEngine::run() {
         lost.forEachSet([&](std::size_t i) { kept.reset(i); });
         return kept;
       };
-      oracles.graphObs[k] = invert(graphLoss.unobservable);
-      oracles.graphSet[k] = invert(graphLoss.unsettable);
-      oracles.treeObs[k] = invert(treeLoss.unobservable);
-      oracles.treeSet[k] = invert(treeLoss.unsettable);
+      oracles.graph[k] = {invert(graphLoss.unobservable),
+                          invert(graphLoss.unsettable)};
+      oracles.tree[k] = {invert(treeLoss.unobservable),
+                         invert(treeLoss.unsettable)};
     });
   }
-
-  // Cancellation: an external token, an engine-owned deadline, or both.
-  // parallelForCancellable takes one token, so with a deadline the
-  // worker propagates an external trip into the deadline token.
-  CancellationToken deadlineToken;
-  const bool hasDeadline = config_.deadlineMs != CampaignConfig::kNoDeadline;
-  if (hasDeadline) {
-    deadlineToken.setDeadlineFromNow(
-        std::chrono::milliseconds(config_.deadlineMs));
-  }
-  const CancellationToken* cancel =
-      hasDeadline ? &deadlineToken : config_.cancel;
-  const auto tripped = [&]() {
-    return (cancel != nullptr && cancel->cancelled()) ||
-           (config_.cancel != nullptr && config_.cancel->cancelled());
-  };
 
   std::vector<std::size_t> pending;
   for (std::size_t k = 0; k < result.records.size(); ++k)
@@ -778,19 +732,15 @@ CampaignResult CampaignEngine::run() {
   const std::size_t batchSize =
       config_.checkpointEvery != 0 ? config_.checkpointEvery
                                    : std::max<std::size_t>(pending.size(), 1);
+  const CancellationToken* cancel = config_.cancel;
   for (std::size_t at = 0; at < pending.size(); at += batchSize) {
-    if (tripped()) break;
+    if (cancel != nullptr && cancel->cancelled()) break;
     const std::size_t end = std::min(at + batchSize, pending.size());
     {
       RRSN_OBS_SPAN("campaign.batch");
       parallelForCancellable(end - at, cancel, [&](std::size_t j) {
-        if (hasDeadline && config_.cancel != nullptr &&
-            config_.cancel->cancelled()) {
-          deadlineToken.cancel();
-          return;
-        }
         const std::size_t k = pending[at + j];
-        result.records[k] = probeScenario(oracles, universe_[k], probes);
+        result.records[k] = probeScenario(universe_[k], probes);
       });
     }
     // Under cancellation some records of the batch may not have run;
@@ -927,10 +877,20 @@ TextTable outcomeTable(const rsn::Network& net, const CampaignResult& result) {
     return s;
   };
   for (const FaultRecord& rec : result.records) {
-    t.addRow({describe(net, rec.scenario), rec.done ? "1" : "0", rec.read,
-              rec.write, bits(rec.structObservable), bits(rec.structSettable),
-              bits(rec.expectObservable), bits(rec.expectSettable),
-              withThousands(static_cast<std::uint64_t>(rec.oracleDisagreements))});
+    std::vector<std::string> row = {describe(net, rec.scenario),
+                                    rec.done ? "1" : "0", rec.read, rec.write};
+    if (rec.done) {
+      const References ref = result.references(rec.scenario);
+      row.insert(row.end(),
+                 {bits(ref.structural.observable),
+                  bits(ref.structural.settable), bits(ref.expected.observable),
+                  bits(ref.expected.settable),
+                  withThousands(static_cast<std::uint64_t>(
+                      ref.oracleDisagreements))});
+    } else {
+      row.insert(row.end(), {"", "", "", "", "0"});
+    }
+    t.addRow(std::move(row));
   }
   return t;
 }

@@ -45,7 +45,7 @@
 //    sim-vs-structural differences are expected; they are itemized as
 //    *gaps*, never dropped.  For pairs the plain verdict is composed
 //    (AND) the same way as the expected one.
-//  * the *expected* verdict (Expectation below, read from the
+//  * the *expected* verdict (OracleTable::expect below, read from the
 //    verify::Certifier rows): structural reachability composed with a
 //    control-dependency closure.  In Single and Transient mode a
 //    disagreement with the simulation is a *mismatch* (an engine or
@@ -56,11 +56,14 @@
 // Campaigns fan out per scenario over the PR-1 thread pool and are
 // deterministic at any thread count: every scenario's record depends
 // only on the scenario, and sampling happens once, single-threaded, at
-// engine construction.  Long runs honor a cooperative CancellationToken
-// (external, or an engine-owned deadline via CampaignConfig::deadlineMs)
-// and checkpoint finished scenarios to a versioned JSON state file, so
-// an interrupted campaign resumes where it stopped and ends in the same
-// final report as an uninterrupted one.
+// engine construction.  Long runs poll one cooperative CancellationToken
+// (CampaignConfig::cancel; a deadline is a token armed with
+// setDeadlineFromNow) and checkpoint the outcomes of finished scenarios
+// to a versioned JSON state file, so an interrupted campaign resumes
+// where it stopped and ends in the same final report as an
+// uninterrupted one.  Records and checkpoints hold only what the
+// simulator saw; every reference row is composed from the run's
+// per-single oracle table (CampaignResult::references).
 #pragma once
 
 #include <atomic>
@@ -131,45 +134,29 @@ struct FaultScenario {
 /// or "upset(s@round)".
 std::string describe(const rsn::Network& net, const FaultScenario& s);
 
-/// Control-aware expected accessibility under one fault: structural
-/// reachability restricted to mux branches that are actually steerable.
-/// A segment-controlled branch is steerable if it is the reset selection
-/// or its control register is still settable (computed as a shrinking
-/// fixpoint, since settability itself depends on steerable branches).
-/// A broken segment re-poisons itself whenever it is clocked and smears
-/// X over every scan cell downstream of it on the active path, so a
-/// break-tolerant access (reads tolerate the break on the scan-in side
-/// of the target, writes on the scan-out side) additionally needs every
-/// configuration round to finish before the break joins the path, or a
-/// suffix free of mux address registers past the break.  The campaign
-/// reads these rows from verify::Certifier (Proven = accessible); see
-/// diag/batched.hpp for the full mode derivation.
+/// Per-instrument verdicts of one reference under one fault: bit i of
+/// `observable` (`settable`) says instrument i can be read (written).
 struct Expectation {
   DynamicBitset observable;
   DynamicBitset settable;
 };
 
-/// The same expectation from the batched reference engine, for tests
-/// and benches that check certifier rows against it.  `instruments`
-/// sizes the result rows; `worker` selects the engine's scratch lane.
+/// The control-aware expectation (OracleTable::expect) from the batched
+/// reference engine, for tests and benches that check certifier rows
+/// against it.  `instruments` sizes the result rows; `worker` selects
+/// the engine's scratch lane.
 Expectation expectedAccessibility(const diag::BatchedSyndromeEngine& engine,
                                   std::size_t instruments,
                                   const fault::Fault& f,
                                   std::size_t worker = 0);
 
-/// Everything the campaign learned about one scenario.
+/// What the simulator saw for one scenario.  Its reference rows are not
+/// stored here: CampaignResult::references composes them.
 struct FaultRecord {
   FaultScenario scenario;
   bool done = false;
   std::string read;   ///< toChar(Outcome) per instrument, index order
   std::string write;  ///< likewise for write accesses
-  DynamicBitset structObservable;  ///< plain graph-oracle verdicts
-  DynamicBitset structSettable;    ///< (pair-composed in Pairs mode)
-  DynamicBitset expectObservable;  ///< control-aware expected verdicts
-  DynamicBitset expectSettable;    ///< (pair-composed in Pairs mode)
-  /// Instruments on which the tree and graph oracles disagreed (must be
-  /// zero; a nonzero count means one of the two analyses is wrong).
-  std::size_t oracleDisagreements = 0;
 
   bool readAccessible(std::size_t i) const { return read[i] != 'L'; }
   bool writeAccessible(std::size_t i) const { return write[i] != 'L'; }
@@ -243,12 +230,53 @@ struct RobustnessReport {
   }
 };
 
+/// The per-single-fault reference rows of one run, indexed like
+/// CampaignEngine::singles(), plus the fault-free row.  run() builds the
+/// table once; it is the only copy of these rows.
+struct OracleTable {
+  /// Control-aware expected verdicts, read from the verify::Certifier
+  /// rows (Proven = accessible): structural reachability restricted to
+  /// mux branches that are actually steerable.  A segment-controlled
+  /// branch is steerable if it is the reset selection or its control
+  /// register is still settable (a shrinking fixpoint, since
+  /// settability itself depends on steerable branches).  A broken
+  /// segment re-poisons itself whenever it is clocked and smears X over
+  /// every scan cell downstream of it on the active path, so a
+  /// break-tolerant access (reads tolerate the break on the scan-in
+  /// side of the target, writes on the scan-out side) additionally
+  /// needs every configuration round to finish before the break joins
+  /// the path, or a suffix free of mux address registers past the
+  /// break.  See diag/batched.hpp for the full mode derivation.
+  std::vector<Expectation> expect;
+  std::vector<Expectation> graph;  ///< plain fault::lossUnderFaultGraph
+  std::vector<Expectation> tree;   ///< plain fault::lossUnderFaultTree
+  Expectation faultFree;           ///< the certifier's fault-free row
+};
+
+/// The reference rows of one scenario.
+struct References {
+  Expectation structural;  ///< plain graph-oracle verdicts
+  Expectation expected;    ///< control-aware expected verdicts
+  /// Instruments on which the tree and graph oracles disagree (must be
+  /// zero; a nonzero count means one of the two analyses is wrong).
+  std::size_t oracleDisagreements = 0;
+};
+
 /// Full campaign state: the scenario list in canonical order plus one
-/// record per scenario (records of not-yet-probed ones have done=false).
+/// record per scenario (records of not-yet-probed ones have done=false)
+/// and the run's oracle table.
 struct CampaignResult {
   CampaignMode mode = CampaignMode::Single;
   std::vector<FaultRecord> records;
   std::size_t instruments = 0;
+  OracleTable oracles;
+
+  /// A scenario's references, composed from `oracles` by kind: a single
+  /// fault reads its rows, a pair ANDs its members' rows, and a
+  /// transient upset is judged against the fault-free row (the plain
+  /// structural oracle predicts full access).  Every report below reads
+  /// its references here.
+  References references(const FaultScenario& s) const;
 
   CampaignSummary summary() const;
   /// Simulated vs expected-oracle disagreements — must be empty in
@@ -289,14 +317,13 @@ struct CampaignConfig {
   std::string checkpointPath;
   /// Finished scenarios per checkpoint flush (and progress callback).
   std::size_t checkpointEvery = 32;
-  /// Engine-owned deadline: run() stops starting new batches once this
-  /// many milliseconds have elapsed.  kNoDeadline = none; 0 is invalid
-  /// (it would cancel the campaign before the first probe).
-  static constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
-  std::uint64_t deadlineMs = kNoDeadline;
-  /// Cooperative cancellation (external); may be null.
+  /// Cooperative cancellation, deadlines included (a token armed with
+  /// setDeadlineFromNow); may be null.  run() stops starting scenarios
+  /// once it trips.
   const CancellationToken* cancel = nullptr;
-  /// Called after every batch with (faultsDone, faultsTotal).
+  /// Called with (faultsDone, faultsTotal) once when probing starts
+  /// (after the checkpoint load and the oracle table build) and after
+  /// every batch.
   std::function<void(std::size_t, std::size_t)> progress;
   /// Fail fast on networks with error-severity lint findings: run()
   /// throws lint::LintError before probing anything.  Disable to
@@ -306,8 +333,8 @@ struct CampaignConfig {
 
 /// Validates the bounds of a campaign configuration: sample fractions
 /// outside (0, 1] (NaN included), sample and sampleFraction both set, a
-/// zero deadline, a checkpoint path naming an existing directory, and
-/// empty or duplicated transient rounds are rejected with a typed
+/// checkpoint path naming an existing directory, and empty or
+/// duplicated transient rounds are rejected with a typed
 /// kInvalidArgument Status instead of silent misbehavior downstream.
 Status validateCampaignConfig(const CampaignConfig& config);
 
@@ -327,16 +354,11 @@ class CampaignEngine {
 
   /// Runs the campaign to completion, resuming from the checkpoint file
   /// if one exists.  Returns early (summary().complete() == false) when
-  /// the cancellation token trips or the deadline fires; progress up to
-  /// the last finished batch is in the checkpoint, so a later run()
-  /// continues from there.
+  /// the cancellation token trips; progress up to the last finished
+  /// batch is in the checkpoint, so a later run() continues from there.
   CampaignResult run();
 
  private:
-  /// Per-single-fault oracle rows, computed once per run() and composed
-  /// per pair scenario.
-  struct OracleCache;
-
   void buildSingleUniverse();
   void buildPairUniverse();
   void buildTransientUniverse();
@@ -346,8 +368,7 @@ class CampaignEngine {
   /// recovery retry does not count extra); run() cross-checks the total
   /// against the classification count after the sweep — a mismatch
   /// means probes were silently skipped or double-issued.
-  FaultRecord probeScenario(const OracleCache& oracles,
-                            const FaultScenario& s,
+  FaultRecord probeScenario(const FaultScenario& s,
                             std::atomic<std::uint64_t>& probes) const;
 
   const rsn::Network* net_;

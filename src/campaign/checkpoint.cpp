@@ -32,20 +32,6 @@ std::string bitsToString(const DynamicBitset& b) {
   return s;
 }
 
-DynamicBitset bitsFromString(const std::string& s, std::size_t expect) {
-  if (s.size() != expect)
-    throw IoError("checkpoint bitset has wrong length");
-  DynamicBitset b(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '1') {
-      b.set(i);
-    } else if (s[i] != '0') {
-      throw IoError("checkpoint bitset has invalid character");
-    }
-  }
-  return b;
-}
-
 }  // namespace
 
 std::uint64_t campaignFingerprint(const rsn::Network& net,
@@ -80,12 +66,6 @@ Status saveCheckpoint(const std::string& path, std::uint64_t fingerprint,
     o["index"] = json::Value(static_cast<std::uint64_t>(k));
     o["read"] = json::Value(rec.read);
     o["write"] = json::Value(rec.write);
-    o["obs"] = json::Value(bitsToString(rec.structObservable));
-    o["set"] = json::Value(bitsToString(rec.structSettable));
-    o["eobs"] = json::Value(bitsToString(rec.expectObservable));
-    o["eset"] = json::Value(bitsToString(rec.expectSettable));
-    o["disagreements"] =
-        json::Value(static_cast<std::uint64_t>(rec.oracleDisagreements));
     records.push_back(json::Value(std::move(o)));
   }
   json::Object root;
@@ -134,8 +114,8 @@ CheckpointLoad loadCheckpoint(const std::string& path,
   // halfway through must not leave earlier records half-applied.
   std::vector<std::pair<std::size_t, FaultRecord>> staged;
   try {
-    // Version-1 files (PR 2/PR 4) carry no version field at all; any
-    // version other than ours degrades to a restart, never a throw.
+    // Version-1 files carry no version field at all; any version other
+    // than ours degrades to a restart, never a throw.
     const std::uint64_t version =
         doc.get("version", json::Value(std::uint64_t{1})).asUnsigned();
     if (version != kCheckpointVersion)
@@ -180,16 +160,6 @@ CheckpointLoad loadCheckpoint(const std::string& path,
                 0};
       for (const char c : rec.read) outcomeFromChar(c);
       for (const char c : rec.write) outcomeFromChar(c);
-      rec.structObservable =
-          bitsFromString(v.at("obs").asString(), result.instruments);
-      rec.structSettable =
-          bitsFromString(v.at("set").asString(), result.instruments);
-      rec.expectObservable =
-          bitsFromString(v.at("eobs").asString(), result.instruments);
-      rec.expectSettable =
-          bitsFromString(v.at("eset").asString(), result.instruments);
-      rec.oracleDisagreements =
-          static_cast<std::size_t>(v.at("disagreements").asUnsigned());
       rec.done = true;
       staged.emplace_back(static_cast<std::size_t>(k), std::move(rec));
     }

@@ -1,13 +1,13 @@
 // Resumable campaign state (JSON checkpoint files).
 //
-// A checkpoint stores every *finished* scenario record together with a
-// fingerprint of the network and campaign configuration, and a format
-// version (kCheckpointVersion).  Loading rejects checkpoints written
-// for a different network or config (the resumed campaign would
-// silently mix incompatible results otherwise), rejects a different
-// format version — version-1 files predate multi-fault and transient
-// scenarios, so their records cannot be re-attached safely — and
-// tolerates a missing file (fresh start).  Rejection is a typed
+// A checkpoint stores the outcomes of every *finished* scenario (its
+// index and read/write outcome strings; the reference rows are
+// recomputed from the run's oracle table) together with a fingerprint
+// of the network and campaign configuration, and a format version
+// (kCheckpointVersion).  Loading rejects checkpoints written for a
+// different network or config (the resumed campaign would silently mix
+// incompatible results otherwise), rejects a different format version
+// and tolerates a missing file (fresh start).  Rejection is a typed
 // Status, not an exception: a truncated, hand-edited, stale or
 // wrong-version state file must degrade into "checkpoint ignored,
 // restarting" — it would otherwise abort the multi-hour campaign it
@@ -24,16 +24,17 @@
 namespace rrsn::campaign {
 
 /// Checkpoint file format version this engine reads and writes.
-/// Version 1 (PR 2/PR 4) had no version or mode field and stored
-/// single-fault records only; version 2 adds both plus pair/transient
-/// scenario support.
-inline constexpr std::uint64_t kCheckpointVersion = 2;
+/// Version 1 had no version or mode field and stored single-fault
+/// records only; version 2 added both plus pair/transient scenario
+/// support; version 3 stores `index`, `read` and `write` per record and
+/// drops the reference rows version 2 kept alongside them.
+inline constexpr std::uint64_t kCheckpointVersion = 3;
 
 /// FNV-1a hash over the canonical netlist text and the config fields
 /// that change probe outcomes (mode, sample, sample fraction, seed,
 /// transient rounds, retarget bounds, excluded primitives).  Checkpoint
-/// path / batch size / deadline / callbacks are excluded: they affect
-/// scheduling, not results.
+/// path / batch size / cancellation / callbacks are excluded: they
+/// affect scheduling, not results.
 std::uint64_t campaignFingerprint(const rsn::Network& net,
                                   const CampaignConfig& config);
 

@@ -3,37 +3,11 @@
 #include <algorithm>
 #include <numeric>
 
-#include "fault/fault.hpp"
 #include "lint/lint.hpp"
 #include "obs/obs.hpp"
-#include "rsn/flat.hpp"
 #include "support/parallel.hpp"
 
 namespace rrsn::crit {
-
-using fault::Fault;
-using fault::FaultUniverse;
-
-namespace {
-
-std::uint64_t combine(MuxDamagePolicy policy,
-                      const std::vector<std::uint64_t>& perBranch) {
-  RRSN_CHECK(!perBranch.empty(), "mux without stuck-at faults");
-  switch (policy) {
-    case MuxDamagePolicy::WorstCase:
-      return *std::max_element(perBranch.begin(), perBranch.end());
-    case MuxDamagePolicy::Sum:
-      return std::accumulate(perBranch.begin(), perBranch.end(),
-                             std::uint64_t{0});
-    case MuxDamagePolicy::Mean:
-      return std::accumulate(perBranch.begin(), perBranch.end(),
-                             std::uint64_t{0}) /
-             perBranch.size();
-  }
-  throw Error("unreachable mux damage policy");
-}
-
-}  // namespace
 
 CriticalityResult::CriticalityResult(const rsn::Network& net,
                                      std::vector<std::uint64_t> d)
@@ -179,7 +153,7 @@ CriticalityResult CriticalityAnalyzer::run() const {
         /*grain=*/2048);
     obs::count(kFaults, net_->segments().size());
   }
-  // Muxes: k stuck-at faults combined by policy; O(#branches) per mux.
+  // Muxes: the worst of k stuck-at faults; O(#branches) per mux.
   {
     RRSN_OBS_SPAN("crit.muxes");
     parallelFor(
@@ -188,51 +162,15 @@ CriticalityResult CriticalityAnalyzer::run() const {
           const auto m = static_cast<rsn::MuxId>(mi);
           const std::uint32_t arity =
               kernel_.branchOffsets[mi + 1] - kernel_.branchOffsets[mi];
-          std::vector<std::uint64_t> perBranch;
-          perBranch.reserve(arity);
+          std::uint64_t worst = 0;
           for (std::uint32_t b = 0; b < arity; ++b)
-            perBranch.push_back(kernel_.muxStuckDamage(m, b));
-          d[net_->linearId({rsn::PrimitiveRef::Kind::Mux, m})] =
-              combine(options_.muxPolicy, perBranch);
+            worst = std::max(worst, kernel_.muxStuckDamage(m, b));
+          d[net_->linearId({rsn::PrimitiveRef::Kind::Mux, m})] = worst;
           obs::count(kFaults, arity);
         },
         /*grain=*/256);
   }
   return CriticalityResult(*net_, std::move(d));
-}
-
-CriticalityResult bruteForceAnalysis(const rsn::Network& net,
-                                     const rsn::CriticalitySpec& spec,
-                                     AnalysisOptions options) {
-  const auto flat = rsn::FlatNetwork::lower(net);
-  const FaultUniverse universe(net);
-  std::vector<std::uint64_t> d(net.primitiveCount(), 0);
-  // The oracle is embarrassingly parallel per primitive: each iteration
-  // only reads the shared network/arena and owns slot d[linear].
-  parallelFor(net.primitiveCount(), [&](std::size_t linear) {
-    const rsn::PrimitiveRef ref = net.refOf(linear);
-    std::vector<std::uint64_t> perFault;
-    for (const Fault& f : universe.faultsAt(ref)) {
-      perFault.push_back(
-          fault::damageOfLoss(spec, fault::lossUnderFaultGraph(*flat, f)));
-    }
-    // -fanalyzer suppression: a Segment ref always yields exactly one
-    // fault (its break), so perFault is non-empty here, and .at(0)
-    // throws rather than dereferencing on the empty path anyway.  The
-    // analyzer cannot see through FaultUniverse::faultsAt and reports
-    // a NULL dereference of the empty vector's data pointer.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wanalyzer-null-dereference"
-#endif
-    d[linear] = ref.kind == rsn::PrimitiveRef::Kind::Segment
-                    ? perFault.at(0)
-                    : combine(options.muxPolicy, perFault);
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-  });
-  return CriticalityResult(net, std::move(d));
 }
 
 }  // namespace rrsn::crit

@@ -6,15 +6,14 @@
 //   d_j = sum_i do_i * y_ij + sum_i ds_i * z_ij
 //
 // Segments have exactly one fault (break); a k-input multiplexer has k
-// stuck-at faults, combined into one damage value by a policy (the paper
-// speaks of "a defect" per primitive; WorstCase — the default — charges
-// the most damaging stuck value, which is the conservative choice for
-// hardening decisions).
+// stuck-at faults, and its damage is the maximum over them (the paper
+// speaks of "a defect" per primitive; charging the most damaging stuck
+// value is the conservative choice for hardening decisions).
 //
 // CriticalityAnalyzer is the paper's fast hierarchical computation on the
-// annotated binary decomposition tree (O(N log N) total).
-// BruteForceAnalyzer recomputes every d_j from the flat-graph fault
-// oracle (O(N * E)) and exists purely to cross-check the fast path.
+// annotated binary decomposition tree (O(N log N) total).  The test
+// suite's bruteForceAnalysis (tests/test_util.hpp) recomputes every d_j
+// from the flat-graph fault oracle (O(N * E)) to cross-check it.
 #pragma once
 
 #include <cstdint>
@@ -28,15 +27,7 @@
 
 namespace rrsn::crit {
 
-/// How the per-branch stuck-at damages of one mux are combined.
-enum class MuxDamagePolicy : std::uint8_t {
-  WorstCase,  ///< max over stuck values (default; conservative)
-  Sum,        ///< sum over stuck values
-  Mean,       ///< average over stuck values (rounded down)
-};
-
 struct AnalysisOptions {
-  MuxDamagePolicy muxPolicy = MuxDamagePolicy::WorstCase;
   /// Fail fast on networks with error-severity lint findings (control
   /// deadlocks, unreachable segments, ...): the analyzer throws
   /// lint::LintError from its constructor instead of computing damages
@@ -81,8 +72,8 @@ class CriticalityResult {
 /// of the annotated tree (contiguous parent/child/kind/sum arrays plus
 /// a CSR of mux branch roots), not the node objects — at 10^6 segments
 /// the pointer-model walk is memory-bound on scattered TreeNode loads.
-/// crit_test checks the results against bruteForceAnalysis on random
-/// networks, under every MuxDamagePolicy.
+/// crit_test checks the results against the brute-force oracle on
+/// random networks.
 class CriticalityAnalyzer {
  public:
   CriticalityAnalyzer(const rsn::Network& net, const rsn::CriticalitySpec& spec,
@@ -120,11 +111,5 @@ class CriticalityAnalyzer {
   sp::DecompositionTree tree_;
   Kernel kernel_;
 };
-
-/// Oracle analysis from the flat-graph fault effects; cross-checks the
-/// fast path in tests.  Quadratic — use on small/medium networks only.
-CriticalityResult bruteForceAnalysis(const rsn::Network& net,
-                                     const rsn::CriticalitySpec& spec,
-                                     AnalysisOptions options = {});
 
 }  // namespace rrsn::crit

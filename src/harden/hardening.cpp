@@ -4,7 +4,7 @@
 #include <ostream>
 
 #include "fault/fault.hpp"
-#include "support/strings.hpp"
+#include "lint/lint.hpp"
 
 namespace rrsn::harden {
 
@@ -115,27 +115,16 @@ void writePlan(std::ostream& os, const HardeningPlan& plan) {
 
 HardeningPlan readPlan(std::istream& is, const rsn::Network& net) {
   std::vector<std::uint32_t> hardened;
-  std::string line;
-  std::size_t lineNo = 0;
-  while (std::getline(is, line)) {
-    ++lineNo;
-    const auto name = trim(line);
-    if (name.empty() || name.front() == '#') continue;
-    const std::string text(name);
-    const rsn::SegmentId seg = net.findSegment(text);
-    if (seg != rsn::kNone) {
+  for (const std::string& name : lint::readPlanNames(is)) {
+    if (const rsn::SegmentId seg = net.findSegment(name); seg != rsn::kNone) {
       hardened.push_back(static_cast<std::uint32_t>(
           net.linearId({rsn::PrimitiveRef::Kind::Segment, seg})));
-      continue;
-    }
-    const rsn::MuxId mux = net.findMux(text);
-    if (mux != rsn::kNone) {
+    } else if (const rsn::MuxId mux = net.findMux(name); mux != rsn::kNone) {
       hardened.push_back(static_cast<std::uint32_t>(
           net.linearId({rsn::PrimitiveRef::Kind::Mux, mux})));
-      continue;
+    } else {
+      throw ParseError("plan names unknown primitive '" + name + "'");
     }
-    throw ParseError("plan line " + std::to_string(lineNo) +
-                     ": unknown primitive '" + text + "'");
   }
   return HardeningPlan(net, moo::Genome(net.primitiveCount(),
                                         std::move(hardened)));

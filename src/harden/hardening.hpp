@@ -85,8 +85,10 @@ PaperSolutions extractPaperSolutions(const moo::ParetoArchive& archive,
                                      double frac = 0.10);
 
 /// Plan serialization: one primitive name per line ("# ..." comments
-/// allowed).  The format survives renumbering — only names are stored —
-/// so a plan written for a netlist can be applied to any re-parse of it.
+/// allowed, also after a name).  The format survives renumbering — only
+/// names are stored — so a plan written for a netlist can be applied to
+/// any re-parse of it.  readPlan takes the names lint::readPlanNames
+/// reads and throws ParseError on one the network does not have.
 void writePlan(std::ostream& os, const HardeningPlan& plan);
 HardeningPlan readPlan(std::istream& is, const rsn::Network& net);
 

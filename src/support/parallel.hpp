@@ -2,16 +2,13 @@
 // deterministic data-parallel primitives.
 //
 // Determinism contract.  Every primitive here produces results that are
-// *independent of the thread count*:
-//  * parallelFor / parallelMap write each index's result into its own
-//    pre-assigned slot, so scheduling order cannot change the output;
-//  * parallelReduce accumulates over a chunk grid derived only from `n`
-//    (never from the thread count) and folds the per-chunk partials
-//    sequentially in chunk order on the calling thread, so even
-//    floating-point reductions are bitwise reproducible.
-// Callers must keep any randomness on the calling thread (the EAs fan
-// out evaluation only) — then `RRSN_THREADS=1` and `RRSN_THREADS=64`
-// yield byte-identical damage vectors, dictionaries and archives.
+// *independent of the thread count*: parallelFor / parallelMap write
+// each index's result into its own pre-assigned slot, so scheduling
+// order cannot change the output, and the chunk grid is a function of
+// `n` alone.  Callers must keep any randomness on the calling thread
+// (the EAs fan out evaluation only) — then `RRSN_THREADS=1` and
+// `RRSN_THREADS=64` yield byte-identical damage vectors, dictionaries
+// and archives.
 //
 // The pool size comes from the RRSN_THREADS environment variable
 // (default: std::thread::hardware_concurrency) and can be changed at
@@ -47,9 +44,6 @@ class CancellationToken {
   void setDeadlineFromNow(std::chrono::nanoseconds budget) noexcept {
     const auto at = std::chrono::steady_clock::now() + budget;
     deadlineNs_.store(at.time_since_epoch().count(), std::memory_order_release);
-  }
-  void clearDeadline() noexcept {
-    deadlineNs_.store(kNoDeadline, std::memory_order_release);
   }
 
   /// True once cancel() was called or the deadline passed.
@@ -207,40 +201,6 @@ std::vector<T> parallelMap(std::size_t n, Fn&& fn, std::size_t grain = 0) {
   std::vector<T> out(n);
   parallelFor(n, [&](std::size_t i) { out[i] = fn(i); }, grain);
   return out;
-}
-
-/// combine(... combine(combine(init, fn(0)), fn(1)) ..., fn(n-1)) with a
-/// thread-count-independent association: partials are accumulated per
-/// chunk of the fixed grid and folded in chunk order on the caller.
-template <typename T, typename Fn, typename Combine>
-T parallelReduce(std::size_t n, T init, Fn&& fn, Combine&& combine,
-                 std::size_t grain = 0) {
-  if (n == 0) return init;
-  const std::size_t chunks = detail::chunkGrid(n, grain);
-  std::vector<T> partial(chunks, T{});
-  std::vector<char> nonEmpty(chunks, 0);
-  // The per-chunk association is identical on the serial and the pooled
-  // path — only the execution order differs.
-  const auto accumulateChunk = [&](std::size_t c, std::size_t) {
-    const auto [begin, end] = detail::chunkRange(n, chunks, c);
-    T acc{};
-    bool empty = true;
-    for (std::size_t i = begin; i < end; ++i) {
-      acc = empty ? fn(i) : combine(std::move(acc), fn(i));
-      empty = false;
-    }
-    partial[c] = std::move(acc);
-    nonEmpty[c] = empty ? 0 : 1;
-  };
-  if (chunks <= 1 || threadCount() <= 1) {
-    for (std::size_t c = 0; c < chunks; ++c) accumulateChunk(c, 0);
-  } else {
-    detail::runChunks(chunks, accumulateChunk);
-  }
-  T acc = std::move(init);
-  for (std::size_t c = 0; c < chunks; ++c)
-    if (nonEmpty[c] != 0) acc = combine(std::move(acc), std::move(partial[c]));
-  return acc;
 }
 
 }  // namespace rrsn

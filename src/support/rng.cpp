@@ -134,16 +134,4 @@ void Rng::sampleIndicesInto(std::size_t n, std::size_t k, DynamicBitset& out) {
   }
 }
 
-Rng Rng::fork() {
-  Rng child(0);
-  // Derive the child state from fresh output of the parent; the parent
-  // advances, so repeated forks yield independent streams.
-  std::uint64_t mix = next();
-  for (auto& s : child.s_) {
-    mix ^= next();
-    s = splitmix64(mix);
-  }
-  return child;
-}
-
 }  // namespace rrsn

@@ -81,10 +81,6 @@ class Rng {
   /// (dense genomes) or k is a sizable fraction of n.
   void sampleIndicesInto(std::size_t n, std::size_t k, DynamicBitset& out);
 
-  /// Forks an independent stream (e.g. one per benchmark row) whose
-  /// sequence does not overlap with this generator for practical lengths.
-  Rng fork();
-
  private:
   std::uint64_t s_[4];
 };

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "crit/analyzer.hpp"
+#include "fault/effects.hpp"
 #include "rsn/example_networks.hpp"
+#include "rsn/flat.hpp"
 #include "test_util.hpp"
 
 namespace rrsn::crit {
@@ -24,7 +26,8 @@ std::uint64_t damageOfNamed(const rsn::Network& net,
 
 TEST(Criticality, Fig1GoldenDamages) {
   // Hand-computed per-primitive damages for the Fig. 1 example with
-  // weights i1=(4,1), i2=(3,3), i3=(2,5); mux policy = worst case.
+  // weights i1=(4,1), i2=(3,3), i3=(2,5); a mux charges its worst
+  // stuck-at fault.
   const rsn::Network net = makeFig1Network();
   const CriticalityAnalyzer analyzer(net, makeFig1Spec(net));
   const CriticalityResult res = analyzer.run();
@@ -62,33 +65,28 @@ TEST(Criticality, ReportListsTopPrimitives) {
   EXPECT_EQ(res.report(100).rowCount(), net.primitiveCount());
 }
 
-TEST(Criticality, MuxPolicies) {
+TEST(Criticality, MuxDamageIsTheWorstStuckBranch) {
   const rsn::Network net = makeFig1Network();
   const auto spec = makeFig1Spec(net);
-  const auto damage = [&](MuxDamagePolicy policy) {
-    AnalysisOptions opt;
-    opt.muxPolicy = policy;
-    const auto res = CriticalityAnalyzer(net, spec, opt).run();
-    return damageOfNamed(net, res, "m0");
+  const auto flat = rsn::FlatNetwork::lower(net);
+  const rsn::MuxId m0 = net.findMux("m0");
+  const auto stuckDamage = [&](std::uint32_t branch) {
+    return fault::damageOfLoss(
+        spec, fault::lossUnderFaultGraph(
+                  *flat, fault::Fault::muxStuck(m0, branch)));
   };
-  // m0: stuck@1 loses 18, stuck@0 loses 0.
-  EXPECT_EQ(damage(MuxDamagePolicy::WorstCase), 18u);
-  EXPECT_EQ(damage(MuxDamagePolicy::Sum), 18u);
-  EXPECT_EQ(damage(MuxDamagePolicy::Mean), 9u);
+  // m0: stuck@0 loses 0, stuck@1 loses 18; the mux is charged 18.
+  EXPECT_EQ(stuckDamage(0), 0u);
+  EXPECT_EQ(stuckDamage(1), 18u);
+  EXPECT_EQ(damageOfNamed(net, CriticalityAnalyzer(net, spec).run(), "m0"),
+            18u);
 }
 
 TEST(Criticality, BruteForceMatchesFastOnFig1) {
   const rsn::Network net = makeFig1Network();
   const auto spec = makeFig1Spec(net);
-  for (const MuxDamagePolicy policy :
-       {MuxDamagePolicy::WorstCase, MuxDamagePolicy::Sum,
-        MuxDamagePolicy::Mean}) {
-    AnalysisOptions opt;
-    opt.muxPolicy = policy;
-    const auto fast = CriticalityAnalyzer(net, spec, opt).run();
-    const auto brute = bruteForceAnalysis(net, spec, opt);
-    EXPECT_EQ(fast.damages(), brute.damages());
-  }
+  EXPECT_EQ(CriticalityAnalyzer(net, spec).run().damages(),
+            test::bruteForceAnalysis(net, spec).damages());
 }
 
 TEST(Criticality, ZeroWeightsZeroDamage) {
@@ -109,26 +107,17 @@ TEST(Criticality, HardenedPrimitiveContributesNoDamage) {
 }
 
 // Property: fast hierarchical analysis == brute-force graph analysis on
-// random networks with random specifications, under every mux damage
-// policy (so per-branch stuck damages are compared, not only their
-// worst case).
+// random networks with random specifications.
 class AnalyzerEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AnalyzerEquivalence, FastMatchesBruteForce) {
   Rng rng(GetParam() * 1000 + 17);
   const rsn::Network net = test::randomNetwork(rng);
   const auto spec = test::randomSpecFor(net, rng);
-  for (const MuxDamagePolicy policy :
-       {MuxDamagePolicy::WorstCase, MuxDamagePolicy::Sum,
-        MuxDamagePolicy::Mean}) {
-    AnalysisOptions opt;
-    opt.muxPolicy = policy;
-    const auto fast = CriticalityAnalyzer(net, spec, opt).run();
-    const auto brute = bruteForceAnalysis(net, spec, opt);
-    ASSERT_EQ(fast.damages(), brute.damages())
-        << "seed=" << GetParam() << " policy=" << static_cast<int>(policy);
-    EXPECT_EQ(fast.totalDamage(), brute.totalDamage());
-  }
+  const auto fast = CriticalityAnalyzer(net, spec).run();
+  const auto brute = test::bruteForceAnalysis(net, spec);
+  ASSERT_EQ(fast.damages(), brute.damages()) << "seed=" << GetParam();
+  EXPECT_EQ(fast.totalDamage(), brute.totalDamage());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AnalyzerEquivalence,

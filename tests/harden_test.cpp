@@ -139,6 +139,19 @@ TEST(Plan, ReadSkipsCommentsAndBlanks) {
   EXPECT_EQ(plan.hardenedCount(), 1u);
 }
 
+TEST(Plan, ReadAcceptsTrailingComments) {
+  // The names lint --plan and certify --plan read: a comment may follow
+  // a name on its line.
+  const rsn::Network net = makeFig1Network();
+  std::istringstream is("c0  # note\nm0# worst mux\n");
+  const HardeningPlan plan = readPlan(is, net);
+  EXPECT_EQ(plan.hardenedCount(), 2u);
+  EXPECT_TRUE(plan.isHardened({rsn::PrimitiveRef::Kind::Segment,
+                               net.findSegment("c0")}));
+  EXPECT_TRUE(plan.isHardened({rsn::PrimitiveRef::Kind::Mux,
+                               net.findMux("m0")}));
+}
+
 TEST(Safety, CriticalExposuresDetectsUnprotectedCritical) {
   const rsn::Network net = makeFig1Network();
   rsn::CriticalitySpec spec = makeFig1Spec(net);

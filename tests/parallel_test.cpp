@@ -57,31 +57,6 @@ TEST(Parallel, MapProducesSlotPerIndex) {
     ASSERT_EQ(squares[i], std::uint64_t{i} * i);
 }
 
-TEST(Parallel, ReduceMatchesSerialSumAndIsThreadCountIndependent) {
-  const std::size_t n = 12'345;
-  const auto sumAt = [&](std::size_t threads) {
-    return withThreads(threads, [&] {
-      return parallelReduce<std::uint64_t>(
-          n, 0, [](std::size_t i) { return std::uint64_t{i}; },
-          [](std::uint64_t a, std::uint64_t b) { return a + b; });
-    });
-  };
-  EXPECT_EQ(sumAt(1), std::uint64_t{n} * (n - 1) / 2);
-  EXPECT_EQ(sumAt(1), sumAt(4));
-
-  // Floating-point: the chunked association must not depend on the pool
-  // width, so the bits agree too.
-  const auto fsumAt = [&](std::size_t threads) {
-    return withThreads(threads, [&] {
-      return parallelReduce<double>(
-          n, 0.0, [](std::size_t i) { return 1.0 / (1.0 + static_cast<double>(i)); },
-          [](double a, double b) { return a + b; });
-    });
-  };
-  EXPECT_EQ(fsumAt(1), fsumAt(4));
-  EXPECT_EQ(fsumAt(2), fsumAt(7));
-}
-
 TEST(Parallel, ExceptionsPropagateToCaller) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     setThreadCount(threads);
@@ -124,16 +99,9 @@ TEST(Cancellation, DeadlineTripsTheToken) {
   EXPECT_FALSE(token.cancelled());
   token.setDeadlineFromNow(std::chrono::nanoseconds(0));
   EXPECT_TRUE(token.cancelled());
-  // The deadline latches: clearing it afterwards cannot un-cancel.
-  token.clearDeadline();
-  EXPECT_TRUE(token.cancelled());
-}
-
-TEST(Cancellation, ClearDeadlineBeforeExpiryKeepsTokenLive) {
-  CancellationToken token;
+  // The deadline latches: moving it into the future cannot un-cancel.
   token.setDeadlineFromNow(std::chrono::hours(1));
-  token.clearDeadline();
-  EXPECT_FALSE(token.cancelled());
+  EXPECT_TRUE(token.cancelled());
 }
 
 TEST(Cancellation, NullTokenRunsEveryIndex) {
@@ -211,7 +179,7 @@ TEST(ParallelDeterminism, CriticalityDamagesMatchAcrossThreadCounts) {
   EXPECT_EQ(serial, pooled);
 
   const auto oracle = [&] {
-    return crit::bruteForceAnalysis(net, spec).damages();
+    return test::bruteForceAnalysis(net, spec).damages();
   };
   EXPECT_EQ(withThreads(1, oracle), withThreads(4, oracle));
 }

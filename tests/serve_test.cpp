@@ -24,6 +24,7 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -267,16 +268,17 @@ TEST(ArtifactCache, SharedPtrSurvivesEviction) {
 
 // ------------------------------------------------------ rrsn_tool runs
 
-/// Runs rrsn_tool with `args` and returns its exit code.  stderr goes
-/// to /dev/null, and so does stdout unless `out` captures it.
+/// Runs rrsn_tool with `args` and returns its exit code.  stdout and
+/// stderr go to /dev/null unless `out` / `err` capture them.
 int runTool(const std::vector<std::string>& args, bool closeStdout = false,
-            std::string* out = nullptr) {
+            std::string* out = nullptr, std::string* err = nullptr) {
   std::vector<const char*> argv;
   argv.push_back(RRSN_TOOL_BIN);
   for (const std::string& a : args) argv.push_back(a.c_str());
   argv.push_back(nullptr);
-  int capture[2] = {-1, -1};
-  if (out != nullptr && ::pipe(capture) != 0) return -1;
+  int outPipe[2] = {-1, -1}, errPipe[2] = {-1, -1};
+  if (out != nullptr && ::pipe(outPipe) != 0) return -1;
+  if (err != nullptr && ::pipe(errPipe) != 0) return -1;
   const pid_t pid = ::fork();
   if (pid == 0) {
     const int devnull = ::open("/dev/null", O_WRONLY);
@@ -287,24 +289,36 @@ int runTool(const std::vector<std::string>& args, bool closeStdout = false,
       if (::pipe(fds) != 0) _exit(97);
       ::close(fds[0]);
       ::dup2(fds[1], STDOUT_FILENO);
-    } else if (out != nullptr) {
-      ::close(capture[0]);
-      ::dup2(capture[1], STDOUT_FILENO);
     } else {
-      ::dup2(devnull, STDOUT_FILENO);
+      ::dup2(out != nullptr ? outPipe[1] : devnull, STDOUT_FILENO);
     }
-    ::dup2(devnull, STDERR_FILENO);
+    ::dup2(err != nullptr ? errPipe[1] : devnull, STDERR_FILENO);
     ::execv(RRSN_TOOL_BIN, const_cast<char**>(argv.data()));
     _exit(98);
   }
-  if (out != nullptr) {
-    ::close(capture[1]);
-    char buf[4096];
-    ssize_t n = 0;
-    while ((n = ::read(capture[0], buf, sizeof buf)) > 0) {
-      out->append(buf, static_cast<std::size_t>(n));
+  // Drain both pipes together: a child blocked on a full stderr pipe
+  // would never close its stdout.
+  std::vector<std::pair<int, std::string*>> open;
+  for (auto [fds, sink] : {std::pair{outPipe, out}, std::pair{errPipe, err}}) {
+    if (sink == nullptr) continue;
+    ::close(fds[1]);
+    open.emplace_back(fds[0], sink);
+  }
+  while (!open.empty()) {
+    std::vector<pollfd> polled;
+    for (const auto& [fd, sink] : open) polled.push_back({fd, POLLIN, 0});
+    if (::poll(polled.data(), polled.size(), -1) < 0) break;
+    for (std::size_t k = polled.size(); k-- > 0;) {
+      if (polled[k].revents == 0) continue;
+      char buf[4096];
+      const ssize_t n = ::read(polled[k].fd, buf, sizeof buf);
+      if (n > 0) {
+        open[k].second->append(buf, static_cast<std::size_t>(n));
+      } else {
+        ::close(polled[k].fd);
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
+      }
     }
-    ::close(capture[0]);
   }
   int status = 0;
   ::waitpid(pid, &status, 0);
@@ -989,6 +1003,25 @@ TEST(ToolRegression, FaultBranchIsBoundedByMuxArity) {
             1);
   EXPECT_EQ(runTool({"diagnose", "example:fig1", "--fault", "stuck:m0:1"}),
             0);
+}
+
+TEST(ToolRegression, BadNamesAreTypedErrorsNotInternalChecks) {
+  // Pre-fix each of these tripped an internal check and printed
+  // "check failed: <expr> at <file>:<line>" before the message.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"diagnose", "example:fig1", "--fault", "break:nope"},
+       "unknown segment 'nope'"},
+      {{"diagnose", "example:fig1", "--fault", "stuck:nope:0"},
+       "unknown mux 'nope'"},
+      {{"access", "example:fig1", "nope"}, "unknown instrument 'nope'"},
+      {{"diagnose", "example:fig1"}, "diagnose requires --fault"},
+  };
+  for (const auto& [args, message] : cases) {
+    std::string err;
+    EXPECT_EQ(runTool(args, false, nullptr, &err), 1) << message;
+    EXPECT_NE(err.find("error: " + message), std::string::npos) << err;
+    EXPECT_EQ(err.find("check failed"), std::string::npos) << err;
+  }
 }
 
 TEST(ToolRegression, FlagsASubcommandDoesNotReadAreUsageErrors) {

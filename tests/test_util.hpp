@@ -1,7 +1,8 @@
 // Shared helpers for the test suite: a random hierarchical RSN generator
 // (for property tests comparing the fast analysis against the oracles),
-// a random-spec shortcut, a series-parallel recognizer, a pool-width
-// scope and the sampled reference stages the determinism tests compare.
+// a random-spec shortcut, the brute-force criticality oracle, a
+// series-parallel recognizer, a pool-width scope and the sampled
+// reference stages the determinism tests compare.
 #pragma once
 
 #include <algorithm>
@@ -12,7 +13,9 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "crit/analyzer.hpp"
 #include "diag/batched.hpp"
+#include "fault/effects.hpp"
 #include "fault/fault.hpp"
 #include "graph/vertex.hpp"
 #include "rsn/builder.hpp"
@@ -93,6 +96,25 @@ inline rsn::Network randomNetwork(Rng& rng, const RandomNetOptions& opt = {}) {
 /// Random spec with the paper's 70/70/10/10 recipe.
 inline rsn::CriticalitySpec randomSpecFor(const rsn::Network& net, Rng& rng) {
   return rsn::randomSpec(net, rsn::SpecOptions{}, rng);
+}
+
+/// Criticality from the flat-graph fault effects, the oracle the fast
+/// analyzer is checked against: every fault's loss is recomputed on the
+/// arena, a segment's damage is its break's, and a mux's is the worst of
+/// its stuck-at faults.  O(N * E) — small and medium networks only.
+inline crit::CriticalityResult bruteForceAnalysis(
+    const rsn::Network& net, const rsn::CriticalitySpec& spec) {
+  const auto flat = rsn::FlatNetwork::lower(net);
+  const fault::FaultUniverse universe(net);
+  std::vector<std::uint64_t> d(net.primitiveCount(), 0);
+  parallelFor(net.primitiveCount(), [&](std::size_t linear) {
+    for (const fault::Fault& f : universe.faultsAt(net.refOf(linear))) {
+      const std::uint64_t damage =
+          fault::damageOfLoss(spec, fault::lossUnderFaultGraph(*flat, f));
+      d[linear] = std::max(d[linear], damage);
+    }
+  });
+  return crit::CriticalityResult(net, std::move(d));
 }
 
 using Arc = std::pair<graph::VertexId, graph::VertexId>;

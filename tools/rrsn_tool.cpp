@@ -7,6 +7,7 @@
 // params (api/params.hpp).  Every subcommand also accepts --trace and
 // --metrics files; stdout is byte-identical with and without them.
 #include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -202,12 +203,14 @@ fault::Fault parseFault(const rsn::Network& net, const std::string& text) {
   const auto parts = split(text, ':');
   if (parts.size() == 2 && parts[0] == "break") {
     const rsn::SegmentId seg = net.findSegment(parts[1]);
-    RRSN_CHECK(seg != rsn::kNone, "unknown segment '" + parts[1] + "'");
+    if (seg == rsn::kNone)
+      throw ParseError("unknown segment '" + parts[1] + "'");
     return fault::Fault::segmentBreak(seg);
   }
   if (parts.size() == 3 && parts[0] == "stuck") {
     const rsn::MuxId mux = net.findMux(parts[1]);
-    RRSN_CHECK(mux != rsn::kNone, "unknown mux '" + parts[1] + "'");
+    if (mux == rsn::kNone)
+      throw ParseError("unknown mux '" + parts[1] + "'");
     const std::uint32_t arity = rsn::FlatNetwork::lower(net)->muxArity()[mux];
     return fault::Fault::muxStuck(
         mux, static_cast<std::uint32_t>(parseUintBounded(
@@ -303,8 +306,8 @@ int cmdAccess(const Args& a) {
   if (a.positional.size() < 2) usage();
   const rsn::Network net = loadNetwork(a.positional[0]);
   const rsn::InstrumentId inst = net.findInstrument(a.positional[1]);
-  RRSN_CHECK(inst != rsn::kNone,
-             "unknown instrument '" + a.positional[1] + "'");
+  if (inst == rsn::kNone)
+    throw ParseError("unknown instrument '" + a.positional[1] + "'");
   sim::ScanSimulator simulator(net);
   if (const std::string* f = a.get("--fault"))
     simulator.injectFault(parseFault(net, *f));
@@ -327,7 +330,7 @@ int cmdAccess(const Args& a) {
 int cmdDiagnose(const Args& a) {
   const rsn::Network net = loadNetwork(a.positional[0]);
   const std::string* faultText = a.get("--fault");
-  RRSN_CHECK(faultText != nullptr, "diagnose requires --fault");
+  if (faultText == nullptr) throw UsageError("diagnose requires --fault");
   const fault::Fault f = parseFault(net, *faultText);
   const auto dict = diag::FaultDictionary::build(net);
   const auto observed = diag::FaultDictionary::measure(net, &f);
@@ -373,8 +376,16 @@ int cmdCampaign(const Args& a) {
   config.lint = !a.has("--no-lint");
   const std::string* checkpoint = a.get("--checkpoint");
   if (checkpoint) config.checkpointPath = *checkpoint;
-  if (a.has("--deadline-ms")) config.deadlineMs = a.num(api::kDeadlineMs);
-  config.progress = [](std::size_t done, std::size_t total) {
+  // The deadline starts at the first progress report, which run() makes
+  // once the oracle table is built: a resumed run whose budget is
+  // shorter than that build still probes something.
+  CancellationToken deadline;
+  bool armed = !a.has("--deadline-ms");
+  if (!armed) config.cancel = &deadline;
+  config.progress = [&, budget = a.num(api::kDeadlineMs)](std::size_t done,
+                                                          std::size_t total) {
+    if (!armed) deadline.setDeadlineFromNow(std::chrono::milliseconds(budget));
+    armed = true;
     std::cerr << "campaign: " << done << "/" << total << " scenarios\n";
   };
 
@@ -485,36 +496,20 @@ int cmdLint(const Args& a) {
   return result.clean() ? 0 : 1;
 }
 
-/// Resolves a hardening plan (one primitive name per line, the
-/// harden::writePlan format) to the linear-id exclusion bitset the
-/// certifier expects: a hardened primitive cannot fail, so its faults
-/// leave the universe.
-DynamicBitset loadExclusions(const rsn::Network& net,
-                             const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open plan '" + path + "'");
-  DynamicBitset excluded(net.primitiveCount());
-  for (const std::string& name : lint::readPlanNames(in)) {
-    const rsn::SegmentId seg = net.findSegment(name);
-    if (seg != rsn::kNone) {
-      excluded.set(net.linearId({rsn::PrimitiveRef::Kind::Segment, seg}));
-      continue;
-    }
-    const rsn::MuxId mux = net.findMux(name);
-    RRSN_CHECK(mux != rsn::kNone,
-               "plan names unknown primitive '" + name + "'");
-    excluded.set(net.linearId({rsn::PrimitiveRef::Kind::Mux, mux}));
-  }
-  return excluded;
-}
-
 int cmdCertify(const Args& a) {
   const rsn::Network net = loadNetwork(a.positional[0]);
   if (!a.has("--no-lint")) lint::enforceClean(net, "certification");
 
   verify::CertifyOptions options;
-  if (const std::string* plan = a.get("--plan"))
-    options.excludePrimitives = loadExclusions(net, *plan);
+  if (const std::string* path = a.get("--plan")) {
+    // A hardened primitive cannot fail, so its faults leave the universe.
+    std::ifstream in(*path);
+    if (!in) throw Error("cannot open plan '" + *path + "'");
+    options.excludePrimitives = DynamicBitset(net.primitiveCount());
+    for (const rsn::PrimitiveRef ref :
+         harden::readPlan(in, net).hardenedPrimitives())
+      options.excludePrimitives.set(net.linearId(ref));
+  }
   options.crossCheck = verify::crossCheckDefault();
 
   const verify::Certifier certifier(net);
