@@ -506,14 +506,6 @@ std::pair<std::size_t, std::size_t> unrankPair(std::size_t n,
   return {static_cast<std::size_t>(lo), static_cast<std::size_t>(j)};
 }
 
-/// Two stuck faults on one mux describe contradictory hardware; they
-/// are excluded from the pair space (breaks cannot collide — the
-/// universe has one break per segment).
-bool contradictoryPair(const fault::Fault& a, const fault::Fault& b) {
-  return a.kind == fault::FaultKind::MuxStuck &&
-         b.kind == fault::FaultKind::MuxStuck && a.prim == b.prim;
-}
-
 }  // namespace
 
 void CampaignEngine::buildSingleUniverse() {
@@ -547,7 +539,7 @@ void CampaignEngine::buildPairUniverse() {
 
   const auto pushPair = [&](std::uint32_t i, std::uint32_t j) {
     if (i > j) std::swap(i, j);
-    if (contradictoryPair(singles_[i], singles_[j])) return;
+    if (fault::contradictory(singles_[i], singles_[j])) return;
     FaultScenario s;
     s.kind = CampaignMode::Pairs;
     s.a = singles_[i];
@@ -571,7 +563,7 @@ void CampaignEngine::buildPairUniverse() {
   // pair space is never materialized.  One Rng consumed in fixed
   // stratum order (BB, BS, SS) keeps the draw deterministic; sampled
   // ranks that unrank to a contradictory pair are dropped (the universe
-  // excludes them, see contradictoryPair).
+  // excludes them, see fault::contradictory).
   const std::array<std::uint64_t, 3> alloc =
       allocateLargestRemainder(sizes, target);
   Rng rng(config_.seed);

@@ -301,8 +301,11 @@ struct CampaignConfig {
   /// deterministic `sample`-sized subset (seeded by `seed`).  Mutually
   /// exclusive with sampleFraction.
   std::size_t sample = 0;
-  /// Pairs/Transient: sample this fraction of the universe instead of
-  /// an absolute count.  0 = unset; otherwise must be in (0, 1].
+  /// Sample this fraction of the mode's universe instead of an
+  /// absolute count: ceil(fraction * n) scenarios, at least one, drawn
+  /// as `sample` would draw that many.  The pair universe's n is the raw
+  /// C(F, 2) before contradictory pairs drop out.  0 = unset; otherwise
+  /// must be in (0, 1].
   double sampleFraction = 0.0;
   std::uint64_t seed = 2022;
   /// Transient mode: the CSU rounds (counted from arming) after which

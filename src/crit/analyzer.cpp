@@ -50,82 +50,22 @@ TextTable CriticalityResult::report(std::size_t topK) const {
   return table;
 }
 
-std::uint64_t CriticalityAnalyzer::Kernel::segmentBreakDamage(
-    std::uint32_t s) const {
-  std::uint64_t damage = 0;
-  std::uint32_t cur = leafOfSegment[s];
-  if (segHasInstrument[s] != 0) damage += sumObs[cur] + sumSet[cur];
-  std::uint32_t p = parent[cur];
-  while (p != sp::kNoTree && kind[p] != kParallel) {
-    if (kind[p] == kSeries)
-      damage += right[p] == cur ? sumObs[left[p]]    // upstream: unobservable
-                                : sumSet[right[p]];  // downstream: unsettable
-    cur = p;
-    p = parent[p];
-  }
-  return damage;
-}
-
-std::uint64_t CriticalityAnalyzer::Kernel::muxStuckDamage(
-    std::uint32_t m, std::uint32_t stuck) const {
-  const std::uint32_t begin = branchOffsets[m], end = branchOffsets[m + 1];
-  std::uint64_t damage = 0;
-  for (std::uint32_t b = begin; b < end; ++b) {
-    if (b - begin == stuck) continue;
-    const std::uint32_t root = branchRoots[b];
-    damage += sumObs[root] + sumSet[root];
-  }
-  return damage;
-}
-
 CriticalityAnalyzer::CriticalityAnalyzer(const rsn::Network& net,
                                          const rsn::CriticalitySpec& spec,
                                          AnalysisOptions options)
-    : net_(&net),
-      spec_(&spec),
-      options_(options),
-      tree_(sp::DecompositionTree::build(net)) {
+    : net_(&net), options_(options), tree_(sp::DecompositionTree::build(net)) {
   if (options_.lint) lint::enforceClean(net, "criticality analysis");
   tree_.annotate(spec);
+}
 
-  // Flatten the annotated tree into the SoA kernel image once; run()
-  // touches only these contiguous arrays.
-  const std::size_t nodes = tree_.nodeCount();
-  kernel_.parent.resize(nodes);
-  kernel_.left.resize(nodes);
-  kernel_.right.resize(nodes);
-  kernel_.kind.resize(nodes);
-  kernel_.sumObs.resize(nodes);
-  kernel_.sumSet.resize(nodes);
-  for (sp::TreeId id = 0; id < nodes; ++id) {
-    const sp::TreeNode& n = tree_.node(id);
-    kernel_.parent[id] = n.parent;
-    kernel_.left[id] = n.left;
-    kernel_.right[id] = n.right;
-    kernel_.kind[id] = n.kind == sp::TreeKind::Series     ? Kernel::kSeries
-                       : n.kind == sp::TreeKind::Parallel ? Kernel::kParallel
-                                                          : 0;
-    kernel_.sumObs[id] = n.sumObs;
-    kernel_.sumSet[id] = n.sumSet;
-  }
-  const std::size_t segments = net.segments().size();
-  kernel_.leafOfSegment.resize(segments);
-  kernel_.segHasInstrument.resize(segments);
-  for (std::size_t s = 0; s < segments; ++s) {
-    const auto seg = static_cast<rsn::SegmentId>(s);
-    kernel_.leafOfSegment[s] = tree_.leafOfSegment(seg);
-    kernel_.segHasInstrument[s] =
-        net.segment(seg).instrument != rsn::kNone ? 1 : 0;
-  }
-  const std::size_t muxes = net.muxes().size();
-  kernel_.branchOffsets.assign(muxes + 1, 0);
-  for (std::size_t m = 0; m < muxes; ++m) {
-    const auto& branches = tree_.branchesOfMux(static_cast<rsn::MuxId>(m));
-    kernel_.branchOffsets[m + 1] =
-        kernel_.branchOffsets[m] + static_cast<std::uint32_t>(branches.size());
-    kernel_.branchRoots.insert(kernel_.branchRoots.end(), branches.begin(),
-                               branches.end());
-  }
+std::uint64_t CriticalityAnalyzer::damageOf(const fault::Fault& f) const {
+  std::uint64_t damage = 0;
+  fault::forEachLostSubtree(tree_, f, [&](sp::TreeId root, unsigned lost) {
+    const sp::TreeNode& n = tree_.node(root);
+    if ((lost & fault::kLostObservability) != 0) damage += n.sumObs;
+    if ((lost & fault::kLostSettability) != 0) damage += n.sumSet;
+  });
+  return damage;
 }
 
 CriticalityResult CriticalityAnalyzer::run() const {
@@ -146,9 +86,9 @@ CriticalityResult CriticalityAnalyzer::run() const {
     parallelFor(
         net_->segments().size(),
         [&](std::size_t s) {
-          d[net_->linearId({rsn::PrimitiveRef::Kind::Segment,
-                            static_cast<rsn::SegmentId>(s)})] =
-              kernel_.segmentBreakDamage(static_cast<std::uint32_t>(s));
+          const auto seg = static_cast<rsn::SegmentId>(s);
+          d[net_->linearId({rsn::PrimitiveRef::Kind::Segment, seg})] =
+              damageOf(fault::Fault::segmentBreak(seg));
         },
         /*grain=*/2048);
     obs::count(kFaults, net_->segments().size());
@@ -160,11 +100,11 @@ CriticalityResult CriticalityAnalyzer::run() const {
         net_->muxes().size(),
         [&](std::size_t mi) {
           const auto m = static_cast<rsn::MuxId>(mi);
-          const std::uint32_t arity =
-              kernel_.branchOffsets[mi + 1] - kernel_.branchOffsets[mi];
+          const auto arity =
+              static_cast<std::uint32_t>(tree_.branchesOfMux(m).size());
           std::uint64_t worst = 0;
           for (std::uint32_t b = 0; b < arity; ++b)
-            worst = std::max(worst, kernel_.muxStuckDamage(m, b));
+            worst = std::max(worst, damageOf(fault::Fault::muxStuck(m, b)));
           d[net_->linearId({rsn::PrimitiveRef::Kind::Mux, m})] = worst;
           obs::count(kFaults, arity);
         },

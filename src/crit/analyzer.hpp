@@ -11,9 +11,11 @@
 // value is the conservative choice for hardening decisions).
 //
 // CriticalityAnalyzer is the paper's fast hierarchical computation on the
-// annotated binary decomposition tree (O(N log N) total).  The test
-// suite's bruteForceAnalysis (tests/test_util.hpp) recomputes every d_j
-// from the flat-graph fault oracle (O(N * E)) to cross-check it.
+// annotated binary decomposition tree (O(N log N) total): each fault's
+// damage sums the weight annotations of the subtrees the Sec. IV-B rule
+// (fault::forEachLostSubtree) reports lost.  The test suite's
+// bruteForceAnalysis (tests/test_util.hpp) recomputes every d_j from
+// the flat-graph fault oracle (O(N * E)) to cross-check it.
 #pragma once
 
 #include <cstdint>
@@ -66,14 +68,11 @@ class CriticalityResult {
   std::uint64_t total_ = 0;
 };
 
-/// Fast hierarchical analysis on the annotated decomposition tree.
-///
-/// The per-fault damage walks run over a flat structure-of-arrays image
-/// of the annotated tree (contiguous parent/child/kind/sum arrays plus
-/// a CSR of mux branch roots), not the node objects — at 10^6 segments
-/// the pointer-model walk is memory-bound on scattered TreeNode loads.
-/// crit_test checks the results against the brute-force oracle on
-/// random networks.
+/// Fast hierarchical analysis on the annotated decomposition tree.  A
+/// segment break walks from its leaf up to its parental P vertex
+/// (O(tree depth)); a stuck mux sums its other branch roots.  crit_test
+/// checks the results against the brute-force oracle on random
+/// networks.
 class CriticalityAnalyzer {
  public:
   CriticalityAnalyzer(const rsn::Network& net, const rsn::CriticalitySpec& spec,
@@ -86,30 +85,12 @@ class CriticalityAnalyzer {
   const sp::DecompositionTree& tree() const { return tree_; }
 
  private:
-  /// Flat SoA image of the annotated tree.  Node kinds collapse to the
-  /// two bits the damage walks branch on.
-  struct Kernel {
-    static constexpr std::uint8_t kSeries = 1;
-    static constexpr std::uint8_t kParallel = 2;
-
-    std::vector<std::uint32_t> parent, left, right;  ///< per tree node
-    std::vector<std::uint8_t> kind;                  ///< 0 / kSeries / kParallel
-    std::vector<std::uint64_t> sumObs, sumSet;       ///< subtree damages
-    std::vector<std::uint32_t> leafOfSegment;        ///< per segment
-    std::vector<std::uint8_t> segHasInstrument;      ///< per segment
-    /// Mux m's branch subtree roots: branchRoots[branchOffsets[m],
-    /// branchOffsets[m + 1]).
-    std::vector<std::uint32_t> branchOffsets, branchRoots;
-
-    std::uint64_t segmentBreakDamage(std::uint32_t s) const;
-    std::uint64_t muxStuckDamage(std::uint32_t m, std::uint32_t stuck) const;
-  };
+  /// Eq. 1 for one fault: the weight annotations of its lost subtrees.
+  std::uint64_t damageOf(const fault::Fault& f) const;
 
   const rsn::Network* net_;
-  const rsn::CriticalitySpec* spec_;
   AnalysisOptions options_;
   sp::DecompositionTree tree_;
-  Kernel kernel_;
 };
 
 }  // namespace rrsn::crit

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <string>
 #include <tuple>
 
 #include "obs/obs.hpp"
@@ -93,14 +92,23 @@ FaultDictionary FaultDictionary::build(const rsn::Network& net) {
 
 void FaultDictionary::buildIndex() {
   const std::size_t n = syndromes_.size();
-  fingerprints_.resize(n);
   popcounts_.resize(n);
-  exactIndex_.clear();
-  exactIndex_.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    fingerprints_[k] = hash::fingerprint(syndromes_[k].passed);
+  classes_.clear();
+  classIndex_.clear();
+  classIndex_.reserve(n);
+  for (std::uint32_t k = 0; k < n; ++k) {
     popcounts_[k] = static_cast<std::uint32_t>(syndromes_[k].passed.count());
-    exactIndex_[fingerprints_[k]].push_back(static_cast<std::uint32_t>(k));
+    auto& bucket = classIndex_[hash::fingerprint(syndromes_[k].passed)];
+    const auto same = std::find_if(
+        bucket.begin(), bucket.end(), [&](std::uint32_t c) {
+          return syndromes_[classes_[c].front()] == syndromes_[k];
+        });
+    if (same != bucket.end()) {
+      classes_[*same].push_back(k);
+    } else {
+      bucket.push_back(static_cast<std::uint32_t>(classes_.size()));
+      classes_.push_back({k});
+    }
   }
 }
 
@@ -115,15 +123,18 @@ Diagnosis FaultDictionary::diagnose(const Syndrome& observed) const {
     d.faultFree = true;
     return d;
   }
-  // Exact matches: one hash probe instead of the O(|faults|) scan; the
-  // bucket keeps fault order, and a full comparison guards against
-  // fingerprint collisions.
-  if (const auto it = exactIndex_.find(hash::fingerprint(observed.passed));
-      it != exactIndex_.end()) {
-    for (const std::uint32_t k : it->second)
-      if (syndromes_[k] == observed) d.exactMatches.push_back(faults_[k]);
+  // Exact matches: the members of the observation's syndrome class, found
+  // by one hash probe; a full comparison guards against fingerprint
+  // collisions.
+  if (const auto it = classIndex_.find(hash::fingerprint(observed.passed));
+      it != classIndex_.end()) {
+    for (const std::uint32_t c : it->second) {
+      if (!(syndromes_[classes_[c].front()] == observed)) continue;
+      for (const std::uint32_t k : classes_[c])
+        d.exactMatches.push_back(faults_[k]);
+      return d;
+    }
   }
-  if (!d.exactMatches.empty()) return d;
 
   // Nearest search with a popcount lower bound: |popcount(a) -
   // popcount(b)| <= hamming(a, b), so entries that cannot reach the
@@ -147,16 +158,6 @@ Diagnosis FaultDictionary::diagnose(const Syndrome& observed) const {
   return d;
 }
 
-namespace {
-
-/// Two stuck faults on one mux cannot coexist in real hardware.
-bool contradictoryPair(const fault::Fault& a, const fault::Fault& b) {
-  return a.kind == fault::FaultKind::MuxStuck &&
-         b.kind == fault::FaultKind::MuxStuck && a.prim == b.prim;
-}
-
-}  // namespace
-
 FaultDictionary::PairDiagnosis FaultDictionary::diagnosePair(
     const Syndrome& observed) const {
   PairDiagnosis d;
@@ -164,46 +165,25 @@ FaultDictionary::PairDiagnosis FaultDictionary::diagnosePair(
     d.faultFree = true;
     return d;
   }
-  // Group faults into syndrome equivalence classes, keeping fault
-  // order.  Composition depends only on the class representative's row,
-  // so candidate pairs are found class-by-class and expanded to member
+  // Composition depends only on a class representative's row, so
+  // candidate pairs are found class-by-class and expanded to member
   // pairs only on a match — quadratic in |classes|, not |faults|.
-  std::vector<std::vector<std::uint32_t>> classes;
-  {
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> byPrint;
-    for (std::uint32_t k = 0; k < faults_.size(); ++k) {
-      auto& bucket = byPrint[fingerprints_[k]];
-      bool placed = false;
-      for (const std::size_t c : bucket) {
-        if (syndromes_[classes[c].front()] == syndromes_[k]) {
-          classes[c].push_back(k);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        bucket.push_back(classes.size());
-        classes.push_back({k});
-      }
-    }
-  }
-
   const std::uint64_t observedPrint = hash::fingerprint(observed.passed);
-  for (std::size_t ci = 0; ci < classes.size(); ++ci) {
-    const Syndrome& rowA = syndromes_[classes[ci].front()];
-    for (std::size_t cj = ci; cj < classes.size(); ++cj) {
-      const Syndrome& rowB = syndromes_[classes[cj].front()];
+  for (std::size_t ci = 0; ci < classes_.size(); ++ci) {
+    const Syndrome& rowA = syndromes_[classes_[ci].front()];
+    for (std::size_t cj = ci; cj < classes_.size(); ++cj) {
+      const Syndrome& rowB = syndromes_[classes_[cj].front()];
       const Syndrome composed = composeSyndromes(rowA, rowB);
       if (hash::fingerprint(composed.passed) != observedPrint ||
           !(composed == observed)) {
         continue;
       }
-      for (std::size_t x = 0; x < classes[ci].size(); ++x) {
+      for (std::size_t x = 0; x < classes_[ci].size(); ++x) {
         const std::size_t yBegin = ci == cj ? x + 1 : 0;
-        for (std::size_t y = yBegin; y < classes[cj].size(); ++y) {
-          std::uint32_t ka = classes[ci][x], kb = classes[cj][y];
+        for (std::size_t y = yBegin; y < classes_[cj].size(); ++y) {
+          std::uint32_t ka = classes_[ci][x], kb = classes_[cj][y];
           if (ka > kb) std::swap(ka, kb);
-          if (contradictoryPair(faults_[ka], faults_[kb])) continue;
+          if (fault::contradictory(faults_[ka], faults_[kb])) continue;
           d.exactPairCount += 1;
           if (d.exactPairs.size() < PairDiagnosis::kMaxListedPairs)
             d.exactPairs.emplace_back(faults_[ka], faults_[kb]);
@@ -248,93 +228,23 @@ FaultDictionary::Resolution FaultDictionary::resolutionExcluding(
   RRSN_CHECK(hardenedLinear.size() == net_->primitiveCount(),
              "hardening mask does not match the network");
   Resolution r;
-  // Class sizes keyed by syndrome fingerprint; a bucket holds one
-  // (representative, count) pair per distinct syndrome that collided
-  // into the hash.  Counting is order-independent, so the statistics
-  // match the former sorted-map implementation exactly.
-  struct Bucket {
-    std::uint32_t rep;
-    std::size_t size;
-  };
-  std::unordered_map<std::uint64_t, std::vector<Bucket>> classSizes;
-  for (std::size_t k = 0; k < faults_.size(); ++k) {
-    if (hardenedLinear[net_->linearId(fault::refOf(faults_[k]))])
-      continue;  // fault avoided
-    ++r.faults;
-    if (syndromes_[k] == faultFree_) continue;  // undetectable
-    ++r.detectable;
-    auto& buckets = classSizes[fingerprints_[k]];
-    bool found = false;
-    for (Bucket& b : buckets) {
-      if (syndromes_[b.rep] == syndromes_[k]) {
-        ++b.size;
-        found = true;
-        break;
-      }
-    }
-    if (!found) buckets.push_back({static_cast<std::uint32_t>(k), 1});
-  }
-  double total = 0.0;
-  for (const auto& [fp, buckets] : classSizes) {
-    r.classes += buckets.size();
-    for (const Bucket& b : buckets)
-      total += static_cast<double>(b.size) * static_cast<double>(b.size);
+  std::size_t sumSquares = 0;
+  for (const std::vector<std::uint32_t>& members : classes_) {
+    std::size_t size = 0;  // members at unhardened primitives
+    for (const std::uint32_t k : members)
+      if (!hardenedLinear[net_->linearId(fault::refOf(faults_[k]))]) ++size;
+    r.faults += size;
+    if (size == 0 || syndromes_[members.front()] == faultFree_) continue;
+    r.detectable += size;
+    r.classes += 1;
+    sumSquares += size * size;
   }
   if (r.detectable > 0) {
     // Mean ambiguity, fault-weighted: E[|class of f|].
-    r.avgAmbiguity = total / static_cast<double>(r.detectable);
+    r.avgAmbiguity = static_cast<double>(sumSquares) /
+                     static_cast<double>(r.detectable);
   }
   return r;
-}
-
-TextTable FaultDictionary::classTable(std::size_t maxRows) const {
-  // Group all faults (including the undetectable class) by syndrome,
-  // fingerprint-first with equality on collision; members stay in
-  // ascending fault order.
-  std::vector<std::vector<std::size_t>> classes;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> byFp;
-  for (std::size_t k = 0; k < faults_.size(); ++k) {
-    auto& ids = byFp[fingerprints_[k]];
-    bool found = false;
-    for (const std::size_t id : ids) {
-      if (syndromes_[classes[id].front()] == syndromes_[k]) {
-        classes[id].push_back(k);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      ids.push_back(classes.size());
-      classes.push_back({k});
-    }
-  }
-
-  TextTable table({"class size", "failing accesses", "example faults"});
-  table.setAlign(2, TextTable::Align::Left);
-  // Largest (most ambiguous) classes first; ties broken by the smallest
-  // member fault index so the rendering is deterministic.
-  std::vector<std::size_t> order(classes.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (classes[a].size() != classes[b].size())
-      return classes[a].size() > classes[b].size();
-    return classes[a].front() < classes[b].front();
-  });
-  for (std::size_t r = 0; r < std::min(maxRows, order.size()); ++r) {
-    const auto& faultIdx = classes[order[r]];
-    std::string examples;
-    for (std::size_t j = 0; j < std::min<std::size_t>(3, faultIdx.size());
-         ++j) {
-      if (j != 0) examples += ", ";
-      examples += fault::describe(*net_, faults_[faultIdx[j]]);
-    }
-    if (faultIdx.size() > 3) examples += ", ...";
-    const std::size_t failing =
-        faultFree_.passed.count() - syndromes_[faultIdx.front()].passed.count();
-    table.addRow({std::to_string(faultIdx.size()), std::to_string(failing),
-                  examples});
-  }
-  return table;
 }
 
 }  // namespace rrsn::diag

@@ -19,8 +19,10 @@
 // structure tells how *diagnosable* a network is (how many faults are
 // distinguishable from each other and from the fault-free RSN), and how
 // a hardening plan — which removes faults from the universe — improves
-// both numbers.  Classes are keyed by FNV-1a fingerprints of the
-// syndrome bits (support/hash.hpp) with equality checks on collision.
+// both numbers.  The dictionary groups its faults into syndrome classes
+// once, keyed by FNV-1a fingerprints of the syndrome bits
+// (support/hash.hpp) with equality checks on collision; diagnose,
+// diagnosePair and resolution all read that one grouping.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +33,6 @@
 #include "fault/fault.hpp"
 #include "rsn/network.hpp"
 #include "support/bitset.hpp"
-#include "support/table.hpp"
 
 namespace rrsn::diag {
 
@@ -88,7 +89,7 @@ class FaultDictionary {
                                const std::vector<fault::Fault>& faults);
 
   /// Looks the observed syndrome up in the dictionary: exact matches
-  /// via the fingerprint index, otherwise a popcount-pruned
+  /// are the members of its syndrome class, otherwise a popcount-pruned
   /// nearest-distance scan.
   Diagnosis diagnose(const Syndrome& observed) const;
 
@@ -138,23 +139,22 @@ class FaultDictionary {
   Resolution resolutionExcluding(
       const std::vector<bool>& hardenedLinear) const;
 
-  /// Per-class summary table (size-capped) for reports.  Rows are
-  /// ordered by class size descending, ties broken by the smallest
-  /// member fault index.
-  TextTable classTable(std::size_t maxRows) const;
-
  private:
-  /// Fingerprints, popcounts and the exact-match hash index over the
-  /// built syndromes.
+  /// Groups the built syndromes into classes and records their
+  /// popcounts.
   void buildIndex();
 
   const rsn::Network* net_ = nullptr;
   std::vector<fault::Fault> faults_;
   std::vector<Syndrome> syndromes_;
   Syndrome faultFree_;
-  std::vector<std::uint64_t> fingerprints_;  ///< per fault, of syndromes_
-  std::vector<std::uint32_t> popcounts_;     ///< per fault, of syndromes_
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> exactIndex_;
+  std::vector<std::uint32_t> popcounts_;  ///< per fault, of syndromes_
+  /// Syndrome equivalence classes, numbered by their first member; each
+  /// lists its fault indices in ascending order.
+  std::vector<std::vector<std::uint32_t>> classes_;
+  /// Syndrome fingerprint -> the classes carrying it (more than one only
+  /// on a fingerprint collision).
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> classIndex_;
 };
 
 }  // namespace rrsn::diag

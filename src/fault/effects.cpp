@@ -9,77 +9,30 @@ using sp::DecompositionTree;
 using sp::TreeId;
 using sp::TreeKind;
 
-namespace {
-
-/// Marks every instrument inside the subtree rooted at `id`.
-void collectInstruments(const DecompositionTree& tree, TreeId id,
-                        DynamicBitset& out,
-                        const rsn::Network& net) {
-  std::vector<TreeId> stack{id};
-  while (!stack.empty()) {
-    const auto& n = tree.node(stack.back());
-    stack.pop_back();
-    if (n.kind == TreeKind::LeafSegment) {
-      const InstrumentId inst = net.segment(n.prim).instrument;
-      if (inst != rsn::kNone) out.set(inst);
-    } else if (n.kind == TreeKind::Series || n.kind == TreeKind::Parallel) {
-      stack.push_back(n.left);
-      stack.push_back(n.right);
-    }
-  }
-}
-
-}  // namespace
-
 AccessibilityLoss lossUnderFaultTree(const DecompositionTree& tree,
                                      const Fault& f) {
   const rsn::Network& net = tree.network();
   AccessibilityLoss loss;
   loss.unobservable = DynamicBitset(net.instruments().size());
   loss.unsettable = DynamicBitset(net.instruments().size());
-
-  if (f.kind == FaultKind::MuxStuck) {
-    // Every non-selected branch is disconnected both ways (Fig. 4):
-    // collect each branch's instruments once, then merge the set into
-    // both directions with word-level unions.
-    const auto& branches = tree.branchesOfMux(f.prim);
-    RRSN_CHECK(f.stuckBranch < branches.size(), "stuck branch out of range");
-    DynamicBitset branchInstruments(net.instruments().size());
-    for (std::size_t b = 0; b < branches.size(); ++b) {
-      if (b == f.stuckBranch) continue;
-      branchInstruments.clearAll();
-      collectInstruments(tree, branches[b], branchInstruments, net);
-      loss.unobservable.orWith(branchInstruments);
-      loss.unsettable.orWith(branchInstruments);
+  std::vector<TreeId> stack;
+  forEachLostSubtree(tree, f, [&](TreeId root, unsigned lost) {
+    stack.assign(1, root);
+    while (!stack.empty()) {
+      const auto& n = tree.node(stack.back());
+      stack.pop_back();
+      if (n.kind == TreeKind::LeafSegment) {
+        const InstrumentId inst = net.segment(n.prim).instrument;
+        if (inst == rsn::kNone) continue;
+        if ((lost & kLostObservability) != 0) loss.unobservable.set(inst);
+        if ((lost & kLostSettability) != 0) loss.unsettable.set(inst);
+      } else if (n.kind == TreeKind::Series ||
+                 n.kind == TreeKind::Parallel) {
+        stack.push_back(n.left);
+        stack.push_back(n.right);
+      }
     }
-    return loss;
-  }
-
-  // Segment break: the faulty segment itself loses both; inside the branch
-  // of the closest parental multiplexer, everything on the scan-in side
-  // (left in the in-order leaf sequence) loses observability and
-  // everything on the scan-out side loses settability.
-  const TreeId leaf = tree.leafOfSegment(f.prim);
-  {
-    const InstrumentId inst = net.segment(f.prim).instrument;
-    if (inst != rsn::kNone) {
-      loss.unobservable.set(inst);
-      loss.unsettable.set(inst);
-    }
-  }
-  TreeId cur = leaf;
-  TreeId parent = tree.node(cur).parent;
-  while (parent != sp::kNoTree && tree.node(parent).kind != TreeKind::Parallel) {
-    const auto& p = tree.node(parent);
-    if (p.kind == TreeKind::Series) {
-      if (p.right == cur)
-        collectInstruments(tree, p.left, loss.unobservable, net);
-      else
-        collectInstruments(tree, p.right, loss.unsettable, net);
-    }
-    cur = parent;
-    parent = p.parent;
-  }
+  });
   return loss;
 }
 

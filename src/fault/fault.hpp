@@ -38,6 +38,14 @@ struct Fault {
   bool operator==(const Fault&) const = default;
 };
 
+/// True iff `a` and `b` cannot be present together: two stuck faults on
+/// one mux describe contradictory hardware, so pair spaces exclude them
+/// (breaks cannot collide — the universe has one break per segment).
+inline bool contradictory(const Fault& a, const Fault& b) {
+  return a.kind == FaultKind::MuxStuck && b.kind == FaultKind::MuxStuck &&
+         a.prim == b.prim;
+}
+
 /// Human-readable fault name, e.g. "break(seg_i2)" or "stuck(m0=1)".
 std::string describe(const rsn::Network& net, const Fault& f);
 

@@ -37,15 +37,13 @@ struct Header {
   std::uint64_t vertices = 0;
   std::uint64_t dataEdges = 0;    ///< fwd CSR entries (== bwd entries)
   std::uint64_t branchPool = 0;
-  std::uint64_t guardPool = 0;
   std::uint64_t selWords = 0;
   std::uint64_t ctrlMuxes = 0;
-  std::uint64_t ctrlEdges = 0;
   std::uint64_t branchExits = 0;
   std::uint32_t scanIn = 0;
   std::uint32_t scanOut = 0;
 };
-static_assert(sizeof(Header) == 128, "serialized header layout changed");
+static_assert(sizeof(Header) == 112, "serialized header layout changed");
 static_assert(std::is_trivially_copyable_v<Header>);
 
 struct SectionDesc {
@@ -59,28 +57,18 @@ static_assert(std::is_trivially_copyable_v<SectionDesc>);
 
 enum SectionId : std::uint32_t {
   kSegLength = 0,
-  kSegInstrument,
-  kSegFlags,
   kSegVertex,
   kSegDepth,
-  kGuardOffsets,
-  kGuardPool,
-  kMuxControl,
   kMuxCtrlVertex,
   kMuxArity,
-  kMuxVertex,
   kDemandDepth,
   kSelOffset,
   kMuxBranchOffsets,
   kMuxBranchExit,
   kCtrlMuxes,
   kRepresentableWords,
-  kCtrlOffsets,
-  kCtrlEdges,
   kInstSegment,
   kInstVertex,
-  kInstObsWeight,
-  kInstSetWeight,
   kFwdOffsets,
   kFwdEdges,
   kBwdOffsets,
@@ -141,10 +129,21 @@ std::uint64_t fingerprintSections(const std::uint8_t* base,
   return h;
 }
 
+/// Compares the payload of an attached arena against the fingerprint
+/// in its header — the check for bytes adopted from outside.
+Status checkFingerprint(const std::uint8_t* base) {
+  SectionDesc table[kSectionCount];
+  std::memcpy(table, base + sizeof(Header), sizeof table);
+  if (fingerprintSections(base, table, kSectionCount) !=
+      headerOf(base).fingerprint)
+    return Status::dataLoss(
+        "flat arena payload does not match its fingerprint");
+  return Status{};
+}
+
 }  // namespace
 
-std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
-    const Network& net, const CriticalitySpec* spec) {
+std::shared_ptr<const FlatNetwork> FlatNetwork::lower(const Network& net) {
   static const obs::MetricId kFlattenCalls =
       obs::counter("flat.flatten_calls");
   obs::count(kFlattenCalls);
@@ -161,16 +160,14 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   std::vector<graph::VertexId> segmentVertex(segCount);
   for (std::size_t s = 0; s < segCount; ++s)
     segmentVertex[s] = static_cast<graph::VertexId>(1 + s);
-  std::vector<graph::VertexId> muxVertex(muxCount);
+  std::vector<graph::VertexId> vertexOfMux(muxCount);
   for (std::size_t m = 0; m < muxCount; ++m)
-    muxVertex[m] = static_cast<graph::VertexId>(1 + segCount + 2 * m);
+    vertexOfMux[m] = static_cast<graph::VertexId>(1 + segCount + 2 * m);
 
   // ---------------------------------------------------- structure walk
   // One walk emits the data-graph edges (scan-in side first), each
-  // mux's branch exits in branch order, and each segment's guard set:
-  // the (mux, branch != 0) selections of its segment-controlled
-  // enclosing muxes.  Guard sets are kept in walk order and packed by
-  // segment id below.
+  // mux's branch exits in branch order, and each segment's guards: the
+  // segment-controlled enclosing muxes whose non-reset branch holds it.
   struct Arc {
     graph::VertexId from;
     graph::VertexId to;
@@ -180,10 +177,10 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   std::vector<std::uint32_t> muxArity(muxCount, 0);
   std::vector<std::pair<std::uint32_t, graph::VertexId>> exits;
   exits.reserve(2 * muxCount);
-  std::vector<GuardRef> walkGuards;
+  std::vector<std::uint32_t> walkGuards;
   std::vector<std::uint32_t> guardAt(segCount, 0);
   std::vector<std::uint32_t> guardLen(segCount, 0);
-  std::vector<GuardRef> context;
+  std::vector<std::uint32_t> context;
   const auto emit = [&](auto&& self, NodeId id,
                         graph::VertexId in) -> graph::VertexId {
     const Structure::Node& n = st.node(id);
@@ -204,15 +201,14 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
         return cur;
       }
       case NodeKind::MuxJoin: {
-        const graph::VertexId mx = muxVertex[n.prim];
+        const graph::VertexId mx = vertexOfMux[n.prim];
         const graph::VertexId fo = mx + 1;
         arcs.push_back({in, fo});
         muxArity[n.prim] = static_cast<std::uint32_t>(n.children.size());
         const bool segCtrl = net.mux(n.prim).controlSegment != kNone;
         for (std::size_t b = 0; b < n.children.size(); ++b) {
           const bool guarded = segCtrl && b != 0;
-          if (guarded)
-            context.push_back({n.prim, static_cast<std::uint32_t>(b)});
+          if (guarded) context.push_back(n.prim);
           const graph::VertexId exit = self(self, n.children[b], fo);
           if (guarded) context.pop_back();
           arcs.push_back({exit, mx});
@@ -225,37 +221,24 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   };
   arcs.push_back({emit(emit, st.root(), scanIn), scanOut});
 
-  // ------------------------------------------------- per-segment arrays
+  // ------------------------------------ per-segment and per-instrument
   std::vector<std::uint32_t> segLength(segCount, 0);
-  std::vector<std::uint32_t> segInstrument(segCount, kNone);
-  std::vector<std::uint8_t> segFlags(segCount, 0);
-  for (std::size_t s = 0; s < segCount; ++s) {
-    const Segment& seg = net.segments()[s];
-    segLength[s] = seg.length;
-    segInstrument[s] = seg.instrument;
-    if (seg.isSibRegister) segFlags[s] |= kSegFlagSib;
-  }
+  for (std::size_t s = 0; s < segCount; ++s)
+    segLength[s] = net.segments()[s].length;
 
   std::vector<std::uint32_t> instSegment(instCount, kNone);
   std::vector<graph::VertexId> instVertex(instCount, graph::kNoVertex);
-  std::vector<std::uint64_t> instObs(instCount, 0);
-  std::vector<std::uint64_t> instSet(instCount, 0);
   for (std::size_t i = 0; i < instCount; ++i) {
     instSegment[i] = net.instruments()[i].segment;
     instVertex[i] = segmentVertex[instSegment[i]];
-    if (spec != nullptr) {
-      const DamageWeights& w = spec->of(static_cast<InstrumentId>(i));
-      instObs[i] = w.obs;
-      instSet[i] = w.set;
-    }
   }
 
   // ---------------------------------------------- per-mux control data
   std::vector<std::uint32_t> muxOfVertex(vertices, kNone);
   for (std::size_t m = 0; m < muxCount; ++m)
-    muxOfVertex[muxVertex[m]] = static_cast<std::uint32_t>(m);
+    muxOfVertex[vertexOfMux[m]] = static_cast<std::uint32_t>(m);
 
-  std::vector<std::uint32_t> muxControl(muxCount, kNone);
+  std::vector<std::uint32_t> controlOf(muxCount, kNone);
   std::vector<graph::VertexId> muxCtrlVertex(muxCount, graph::kNoVertex);
   std::vector<std::uint32_t> selOffset(muxCount, 0);
   std::vector<std::uint32_t> ctrlMuxes;
@@ -265,11 +248,10 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
     selOffset[m] = static_cast<std::uint32_t>(selWords);
     selWords += (static_cast<std::size_t>(muxArity[m]) + 63) / 64;
     const SegmentId ctrl = net.muxes()[m].controlSegment;
-    muxControl[m] = ctrl;
+    controlOf[m] = ctrl;
     if (ctrl == kNone) continue;
     muxCtrlVertex[m] = segmentVertex[ctrl];
     ctrlMuxes.push_back(static_cast<std::uint32_t>(m));
-    segFlags[ctrl] |= kSegFlagControlsMux;
     ctrlRegVertex[segmentVertex[ctrl]] = 1;
   }
 
@@ -277,7 +259,7 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   for (std::size_t m = 0; m < muxCount; ++m) {
     const std::uint32_t arity = muxArity[m];
     const std::size_t words = (static_cast<std::size_t>(arity) + 63) / 64;
-    const SegmentId ctrl = muxControl[m];
+    const SegmentId ctrl = controlOf[m];
     if (ctrl == kNone || segLength[ctrl] >= 32) {
       for (std::size_t w = 0; w < words; ++w)
         representableWords[selOffset[m] + w] = tailMask(arity, w);
@@ -288,20 +270,6 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
       if (b != 0 && b >= (std::uint64_t{1} << len)) continue;
       representableWords[selOffset[m] + (b >> 6)] |= 1ULL << (b & 63);
     }
-  }
-
-  // Control-dependency CSR: segment s -> the muxes it addresses, in mux
-  // order (one mux has one control segment, so rows never overlap).
-  std::vector<std::uint32_t> ctrlOffsets(segCount + 1, 0);
-  for (const std::uint32_t m : ctrlMuxes) ctrlOffsets[muxControl[m] + 1] += 1;
-  for (std::size_t s = 0; s < segCount; ++s)
-    ctrlOffsets[s + 1] += ctrlOffsets[s];
-  std::vector<std::uint32_t> ctrlEdges(ctrlMuxes.size(), 0);
-  {
-    std::vector<std::uint32_t> cursor(ctrlOffsets.begin(),
-                                      ctrlOffsets.end() - 1);
-    for (const std::uint32_t m : ctrlMuxes)
-      ctrlEdges[cursor[muxControl[m]]++] = m;
   }
 
   // Branch-exit CSR (mux m, branch b -> exit vertex of that branch).
@@ -373,7 +341,7 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
     segState[s] = 1;
     std::uint32_t depth = 0;
     for (std::uint32_t g = guardAt[s]; g < guardAt[s] + guardLen[s]; ++g) {
-      const std::uint32_t ctrl = muxControl[walkGuards[g].mux];
+      const std::uint32_t ctrl = controlOf[walkGuards[g]];
       depth = std::max(depth,
                        std::min(kUnrealizableDepth, 1 + self(self, ctrl)));
     }
@@ -384,47 +352,23 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   for (SegmentId s = 0; s < segCount; ++s) segDepthOf(segDepthOf, s);
   for (const std::uint32_t m : ctrlMuxes)
     demandDepth[m] = std::min(kUnrealizableDepth,
-                              1 + segDepthOf(segDepthOf, muxControl[m]));
-
-  std::vector<std::uint32_t> guardOffsets(segCount + 1, 0);
-  std::vector<GuardRef> guardPool;
-  guardPool.reserve(walkGuards.size());
-  for (std::size_t s = 0; s < segCount; ++s) {
-    const auto first = walkGuards.begin() + guardAt[s];
-    const auto last = first + guardLen[s];
-    std::sort(first, last, [](const GuardRef& a, const GuardRef& b) {
-      return a.mux != b.mux ? a.mux < b.mux : a.branch < b.branch;
-    });
-    guardOffsets[s] = static_cast<std::uint32_t>(guardPool.size());
-    guardPool.insert(guardPool.end(), first, last);
-  }
-  guardOffsets[segCount] = static_cast<std::uint32_t>(guardPool.size());
+                              1 + segDepthOf(segDepthOf, controlOf[m]));
 
   // ------------------------------------------------- pack the arena
   Pending pending[kSectionCount];
   pending[kSegLength] = pend(segLength);
-  pending[kSegInstrument] = pend(segInstrument);
-  pending[kSegFlags] = pend(segFlags);
   pending[kSegVertex] = pend(segmentVertex);
   pending[kSegDepth] = pend(segDepth);
-  pending[kGuardOffsets] = pend(guardOffsets);
-  pending[kGuardPool] = pend(guardPool);
-  pending[kMuxControl] = pend(muxControl);
   pending[kMuxCtrlVertex] = pend(muxCtrlVertex);
   pending[kMuxArity] = pend(muxArity);
-  pending[kMuxVertex] = pend(muxVertex);
   pending[kDemandDepth] = pend(demandDepth);
   pending[kSelOffset] = pend(selOffset);
   pending[kMuxBranchOffsets] = pend(muxBranchOffsets);
   pending[kMuxBranchExit] = pend(muxBranchExit);
   pending[kCtrlMuxes] = pend(ctrlMuxes);
   pending[kRepresentableWords] = pend(representableWords);
-  pending[kCtrlOffsets] = pend(ctrlOffsets);
-  pending[kCtrlEdges] = pend(ctrlEdges);
   pending[kInstSegment] = pend(instSegment);
   pending[kInstVertex] = pend(instVertex);
-  pending[kInstObsWeight] = pend(instObs);
-  pending[kInstSetWeight] = pend(instSet);
   pending[kFwdOffsets] = pend(fwdOffsets);
   pending[kFwdEdges] = pend(fwdEdges);
   pending[kBwdOffsets] = pend(bwdOffsets);
@@ -468,15 +412,15 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   hdr.vertices = vertices;
   hdr.dataEdges = fwdEdges.size();
   hdr.branchPool = branchPool.size();
-  hdr.guardPool = guardPool.size();
   hdr.selWords = selWords;
   hdr.ctrlMuxes = ctrlMuxes.size();
-  hdr.ctrlEdges = ctrlEdges.size();
   hdr.branchExits = muxBranchExit.size();
   hdr.scanIn = scanIn;
   hdr.scanOut = scanOut;
   std::memcpy(base, &hdr, sizeof hdr);
 
+  // The fingerprint was just computed from these bytes, so only the
+  // layout checks run here; deserialize() and mapFile() also compare it.
   const Status attached = view->attach();
   RRSN_CHECK(attached.ok(),
              "freshly lowered arena failed to attach: " + attached.toString());
@@ -529,28 +473,18 @@ Status FlatNetwork::attach() {
   };
   const Expect expect[kSectionCount] = {
       /*kSegLength=*/{4, s},
-      /*kSegInstrument=*/{4, s},
-      /*kSegFlags=*/{1, s},
       /*kSegVertex=*/{4, s},
       /*kSegDepth=*/{4, s},
-      /*kGuardOffsets=*/{4, s + 1},
-      /*kGuardPool=*/{sizeof(GuardRef), hdr.guardPool},
-      /*kMuxControl=*/{4, m},
       /*kMuxCtrlVertex=*/{4, m},
       /*kMuxArity=*/{4, m},
-      /*kMuxVertex=*/{4, m},
       /*kDemandDepth=*/{4, m},
       /*kSelOffset=*/{4, m},
       /*kMuxBranchOffsets=*/{4, m + 1},
       /*kMuxBranchExit=*/{4, hdr.branchExits},
       /*kCtrlMuxes=*/{4, hdr.ctrlMuxes},
       /*kRepresentableWords=*/{8, hdr.selWords},
-      /*kCtrlOffsets=*/{4, s + 1},
-      /*kCtrlEdges=*/{4, hdr.ctrlEdges},
       /*kInstSegment=*/{4, n},
       /*kInstVertex=*/{4, n},
-      /*kInstObsWeight=*/{8, n},
-      /*kInstSetWeight=*/{8, n},
       /*kFwdOffsets=*/{4, v + 1},
       /*kFwdEdges=*/{sizeof(Edge), e},
       /*kBwdOffsets=*/{4, v + 1},
@@ -570,9 +504,6 @@ Status FlatNetwork::attach() {
       return Status::dataLoss("flat arena section " + std::to_string(i) +
                               " lies outside the buffer");
   }
-  if (fingerprintSections(base_, table, kSectionCount) != hdr.fingerprint)
-    return Status::dataLoss(
-        "flat arena payload does not match its fingerprint");
 
   const std::uint8_t* base = base_;
   const auto u32 = [&](SectionId id) {
@@ -589,30 +520,18 @@ Status FlatNetwork::attach() {
     return Span<std::uint8_t>(base + table[id].offset, table[id].byteCount);
   };
   segLength_ = u32(kSegLength);
-  segInstrument_ = u32(kSegInstrument);
-  segFlags_ = u8(kSegFlags);
   segmentVertex_ = u32(kSegVertex);
   segDepth_ = u32(kSegDepth);
-  guardOffsets_ = u32(kGuardOffsets);
-  guardPool_ = Span<GuardRef>(
-      reinterpret_cast<const GuardRef*>(base + table[kGuardPool].offset),
-      table[kGuardPool].byteCount / sizeof(GuardRef));
-  muxControl_ = u32(kMuxControl);
   muxCtrlVertex_ = u32(kMuxCtrlVertex);
   muxArity_ = u32(kMuxArity);
-  muxVertex_ = u32(kMuxVertex);
   demandDepth_ = u32(kDemandDepth);
   selOffset_ = u32(kSelOffset);
   muxBranchOffsets_ = u32(kMuxBranchOffsets);
   muxBranchExit_ = u32(kMuxBranchExit);
   ctrlMuxes_ = u32(kCtrlMuxes);
   representableWords_ = u64(kRepresentableWords);
-  ctrlOffsets_ = u32(kCtrlOffsets);
-  ctrlEdges_ = u32(kCtrlEdges);
   instrumentSegment_ = u32(kInstSegment);
   instrumentVertex_ = u32(kInstVertex);
-  instObsWeight_ = u64(kInstObsWeight);
-  instSetWeight_ = u64(kInstSetWeight);
   fwdOffsets_ = u32(kFwdOffsets);
   fwdEdges_ = Span<Edge>(
       reinterpret_cast<const Edge*>(base + table[kFwdEdges].offset),
@@ -632,6 +551,7 @@ Status FlatNetwork::deserialize(std::vector<std::uint8_t> buffer,
   auto view = std::shared_ptr<FlatNetwork>(new FlatNetwork());
   view->arena_ = std::move(buffer);
   Status st = view->attach();
+  if (st.ok()) st = checkFingerprint(view->base_);
   if (!st.ok()) return st;
   out = std::move(view);
   return Status{};
@@ -641,8 +561,8 @@ Status FlatNetwork::mapFile(const std::string& path,
                             std::shared_ptr<const FlatNetwork>& out) {
   auto view = std::shared_ptr<FlatNetwork>(new FlatNetwork());
   Status st = io::MappedFile::map(path, view->mapped_);
-  if (!st.ok()) return st;
-  st = view->attach();
+  if (st.ok()) st = view->attach();
+  if (st.ok()) st = checkFingerprint(view->base_);
   if (!st.ok()) return st;
   out = std::move(view);
   return Status{};

@@ -1,8 +1,8 @@
 // Arena-backed structure-of-arrays core of an RSN (`FlatNetwork`).
 //
 // The pointer-rich Network model is convenient to build and validate,
-// but every graph walk (criticality, dictionary sweeps, campaign
-// oracles, retargeting, SPEA-2 fitness assembly) wants contiguous
+// but every graph walk (certification, dictionary sweeps, campaign
+// oracles, retargeting, SPEA-2 cost assembly) wants contiguous
 // id-indexed arrays it can stream with no pointer chasing.  This module
 // lowers a validated Network exactly once into a single relocatable
 // buffer — one bump-allocated arena holding every derived array the
@@ -10,18 +10,18 @@
 // walk of the Structure tree emits the flat scan graph of Sec. III
 // (Fig. 2) straight into the arena's CSR sections:
 //
-//   * per-segment: scan length, instrument id, flags (SIB register /
-//     controls-a-mux), graph vertex, configuration depth, guard set
-//     (CSR over sorted (mux, branch) selections);
-//   * per-mux: control segment + its vertex, arity, graph vertex,
-//     demand depth, selectable-word offset, branch exit vertices (CSR);
-//   * per-instrument: segment, vertex, damage weights (zero unless a
-//     CriticalitySpec is given at lowering time);
+//   * per-segment: scan length, graph vertex, configuration depth;
+//   * per-mux: control-register vertex, arity, demand depth,
+//     selectable-word offset, branch exit vertices (CSR); the list of
+//     segment-controlled muxes and their address-representability masks;
+//   * per-instrument: segment, vertex;
 //   * data graph: forward and transposed CSR adjacency whose edges carry
 //     the mux guard annotation;
-//   * control-dependency graph: CSR from each segment to the muxes it
-//     addresses;
 //   * per-vertex: control-register flag, owning mux.
+//
+// Every section has a reader among the engines.  Facts only reports and
+// tests want (names, a segment's instrument, SIB flags, a mux's control
+// segment) are read from the Network.
 //
 // Vertex numbering (S segments, M muxes, V = 2 + S + 2M vertices):
 //
@@ -38,12 +38,14 @@
 // scan-in side first.  A wire branch exits at its mux's fan-out stem,
 // so parallel wire branches give parallel fan-out -> mux edges.
 //
-// Layout: a fixed header (magic, format version, FNV-1a content
-// fingerprint, entity counts), a section table, then the 64-byte-aligned
-// sections.  Because the arena is one flat buffer with self-describing
+// Layout: a fixed 112-byte header (magic, format version, FNV-1a
+// content fingerprint, entity counts), a table of 20 section
+// descriptors of 24 bytes each, then the 64-byte-aligned sections (the
+// first at byte 640).  Because the arena is one flat buffer with self-describing
 // offsets, serialization is a plain byte copy and deserialization is
 // zero-copy: the loader adopts the buffer, validates the header and
-// fingerprint, and re-derives the section pointers.  Corrupt, truncated
+// fingerprint, and re-derives the section pointers (a fresh lowering
+// skips only the fingerprint comparison).  Corrupt, truncated
 // or foreign files are rejected with a typed Status — never an
 // exception — so service caches and campaign checkpoints can probe
 // candidate files cheaply.
@@ -60,7 +62,6 @@
 
 #include "graph/vertex.hpp"
 #include "rsn/network.hpp"
-#include "rsn/spec.hpp"
 #include "support/io.hpp"
 #include "support/status.hpp"
 
@@ -103,14 +104,6 @@ class FlatNetwork {
     bool operator==(const Edge&) const = default;
   };
 
-  /// One (mux, non-reset branch) selection of a segment's guard set.
-  struct GuardRef {
-    std::uint32_t mux = kNone;
-    std::uint32_t branch = 0;
-
-    bool operator==(const GuardRef&) const = default;
-  };
-
   /// Saturation value for cyclic configuration dependencies.
   static constexpr std::uint32_t kUnrealizableDepth = 0x40000000u;
 
@@ -118,14 +111,12 @@ class FlatNetwork {
   /// Any layout change bumps kFormatVersion; old readers reject new
   /// files (and vice versa) with kFailedPrecondition.
   static constexpr std::uint64_t kMagic = 0x54414c464e535252ULL;
-  static constexpr std::uint32_t kFormatVersion = 1;
+  static constexpr std::uint32_t kFormatVersion = 2;
 
-  /// Lowers `net` into a fresh arena.  The optional spec fills the
-  /// per-instrument damage-weight sections (zeros otherwise).  Counts
-  /// one `flat.flatten_calls` observation per invocation — campaigns
-  /// and services are expected to lower once and share the pointer.
-  static std::shared_ptr<const FlatNetwork> lower(
-      const Network& net, const CriticalitySpec* spec = nullptr);
+  /// Lowers `net` into a fresh arena.  Counts one `flat.flatten_calls`
+  /// observation per invocation — campaigns and services are expected
+  /// to lower once and share the pointer.
+  static std::shared_ptr<const FlatNetwork> lower(const Network& net);
 
   /// Adopts a serialized arena (zero-copy: the vector is moved into the
   /// view).  Truncated or corrupt buffers yield kDataLoss, foreign
@@ -160,7 +151,7 @@ class FlatNetwork {
   std::uint64_t fingerprint() const;
 
   /// Two views are equal iff their arenas are byte-identical (the
-  /// lowering is canonical, so equal networks + specs compare equal).
+  /// lowering is canonical, so equal networks compare equal).
   /// Backing (owned vs mmap) does not participate.
   bool operator==(const FlatNetwork& other) const;
 
@@ -174,27 +165,16 @@ class FlatNetwork {
 
   // ------------------------------------------------------ per segment
   Span<std::uint32_t> segLength() const { return segLength_; }
-  /// InstrumentId per segment; kNone when the segment carries none.
-  Span<std::uint32_t> segInstrument() const { return segInstrument_; }
-  /// Bit 0: SIB configuration register; bit 1: controls some mux.
-  Span<std::uint8_t> segFlags() const { return segFlags_; }
   Span<graph::VertexId> segmentVertex() const { return segmentVertex_; }
   /// CSU round in which the segment first joins the active path: the max
-  /// demandDepth over its guards, 0 for an always-on segment.
+  /// demandDepth over the segment-controlled muxes whose non-reset
+  /// branch holds it, 0 for an always-on segment.
   Span<std::uint32_t> segDepth() const { return segDepth_; }
-  /// Guard-set CSR: segment s owns guardPool[guardOffsets[s],
-  /// guardOffsets[s + 1]) — sorted (mux, branch != 0) selections.
-  Span<std::uint32_t> guardOffsets() const { return guardOffsets_; }
-  Span<GuardRef> guardPool() const { return guardPool_; }
-
-  static constexpr std::uint8_t kSegFlagSib = 1;
-  static constexpr std::uint8_t kSegFlagControlsMux = 2;
 
   // ---------------------------------------------------------- per mux
-  Span<std::uint32_t> muxControl() const { return muxControl_; }
+  /// Vertex of the mux's control segment; kNoVertex when TAP-steered.
   Span<graph::VertexId> muxCtrlVertex() const { return muxCtrlVertex_; }
   Span<std::uint32_t> muxArity() const { return muxArity_; }
-  Span<graph::VertexId> muxVertex() const { return muxVertex_; }
   /// A non-reset demand on mux m is written in CSU round
   /// demandDepth[m] - 1; TAP-steered muxes have depth 0, and cyclic
   /// control dependencies saturate at kUnrealizableDepth.
@@ -237,20 +217,12 @@ class FlatNetwork {
 
   /// True iff some mux's address register is segment s.
   bool segmentControlsMux(SegmentId s) const {
-    return (segFlags_[s] & kSegFlagControlsMux) != 0;
+    return ctrlRegVertex_[segmentVertex_[s]] != 0;
   }
-
-  // -------------------------------------------------- control graph
-  /// Control-dependency CSR: segment s addresses the muxes
-  /// ctrlEdges[ctrlOffsets[s], ctrlOffsets[s + 1]).
-  Span<std::uint32_t> ctrlOffsets() const { return ctrlOffsets_; }
-  Span<std::uint32_t> ctrlEdges() const { return ctrlEdges_; }
 
   // --------------------------------------------------- per instrument
   Span<std::uint32_t> instrumentSegment() const { return instrumentSegment_; }
   Span<graph::VertexId> instrumentVertex() const { return instrumentVertex_; }
-  Span<std::uint64_t> instrumentObsWeight() const { return instObsWeight_; }
-  Span<std::uint64_t> instrumentSetWeight() const { return instSetWeight_; }
 
   // --------------------------------------------------- data graph CSR
   Span<std::uint32_t> fwdOffsets() const { return fwdOffsets_; }
@@ -282,18 +254,14 @@ class FlatNetwork {
   const std::uint8_t* base_ = nullptr;
   std::size_t size_ = 0;
 
-  Span<std::uint32_t> segLength_, segInstrument_, segDepth_, guardOffsets_;
-  Span<std::uint8_t> segFlags_;
+  Span<std::uint32_t> segLength_, segDepth_;
   Span<graph::VertexId> segmentVertex_;
-  Span<GuardRef> guardPool_;
-  Span<std::uint32_t> muxControl_, muxArity_, demandDepth_, selOffset_;
-  Span<graph::VertexId> muxCtrlVertex_, muxVertex_, muxBranchExit_;
+  Span<std::uint32_t> muxArity_, demandDepth_, selOffset_;
+  Span<graph::VertexId> muxCtrlVertex_, muxBranchExit_;
   Span<std::uint32_t> muxBranchOffsets_, ctrlMuxes_;
   Span<std::uint64_t> representableWords_;
-  Span<std::uint32_t> ctrlOffsets_, ctrlEdges_;
   Span<std::uint32_t> instrumentSegment_;
   Span<graph::VertexId> instrumentVertex_;
-  Span<std::uint64_t> instObsWeight_, instSetWeight_;
   Span<std::uint32_t> fwdOffsets_, bwdOffsets_, branchPool_;
   Span<Edge> fwdEdges_, bwdEdges_;
   Span<std::uint8_t> ctrlRegVertex_;

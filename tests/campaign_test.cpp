@@ -432,6 +432,33 @@ TEST(PairCampaign, SampleFractionRoundsUpAndCapsAtOne) {
   campaign::CampaignConfig full = all;
   full.sampleFraction = 1.0;
   EXPECT_EQ(campaign::CampaignEngine(net, full).universe().size(), total);
+
+  // The fraction applies to every mode's universe: it draws exactly the
+  // scenarios of `sample` = ceil(f * n), where n is the raw universe
+  // size (C(F, 2) for pairs).
+  for (const campaign::CampaignMode mode :
+       {campaign::CampaignMode::Single, campaign::CampaignMode::Pairs,
+        campaign::CampaignMode::Transient}) {
+    campaign::CampaignConfig base;
+    base.mode = mode;
+    const std::size_t n =
+        mode == campaign::CampaignMode::Pairs
+            ? rawPairs
+            : campaign::CampaignEngine(net, base).universe().size();
+    for (const double fraction : {0.1, 0.5, 0.75}) {
+      campaign::CampaignConfig byFraction = base;
+      byFraction.sampleFraction = fraction;
+      campaign::CampaignConfig byCount = base;
+      byCount.sample = static_cast<std::size_t>(
+          std::ceil(fraction * static_cast<double>(n)));
+      const auto drawn = campaign::CampaignEngine(net, byFraction).universe();
+      EXPECT_EQ(drawn, campaign::CampaignEngine(net, byCount).universe())
+          << static_cast<int>(mode) << " fraction=" << fraction;
+      if (mode != campaign::CampaignMode::Pairs) {
+        EXPECT_EQ(drawn.size(), byCount.sample) << static_cast<int>(mode);
+      }
+    }
+  }
 }
 
 TEST(PairCampaign, DeterministicAcrossThreadCounts) {

@@ -100,6 +100,71 @@ TEST(Dictionary, HardeningShrinksTheFaultUniverse) {
   EXPECT_LE(after.detectable, before.detectable);
 }
 
+// The dictionary groups its syndromes once; exact diagnoses and the
+// resolution statistics must equal a brute-force regrouping, with and
+// without a hardening mask.
+TEST(Dictionary, ClassesMatchBruteForceGrouping) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 13 + 1);
+    test::RandomNetOptions opt;
+    opt.targetSegments = 14;
+    const rsn::Network net = test::randomNetwork(rng, opt);
+    const FaultDictionary dict = FaultDictionary::build(net);
+    const std::vector<Fault>& faults = dict.faults();
+    const auto same = [&](std::size_t a, std::size_t b) {
+      return dict.syndromeOf(a) == dict.syndromeOf(b);
+    };
+
+    for (std::size_t k = 0; k < faults.size(); ++k) {
+      const Diagnosis d = dict.diagnose(dict.syndromeOf(k));
+      if (d.faultFree) continue;
+      std::vector<Fault> members;
+      for (std::size_t j = 0; j < faults.size(); ++j)
+        if (same(j, k)) members.push_back(faults[j]);
+      EXPECT_EQ(d.exactMatches, members) << "seed=" << seed << " k=" << k;
+    }
+
+    std::vector<bool> everyThird(net.primitiveCount(), false);
+    for (std::size_t j = 0; j < everyThird.size(); j += 3) everyThird[j] = true;
+    for (const std::vector<bool>& hardened :
+         {std::vector<bool>(net.primitiveCount(), false), everyThird}) {
+      const auto kept = [&](std::size_t k) {
+        return !hardened[net.linearId(fault::refOf(faults[k]))];
+      };
+      FaultDictionary::Resolution want;
+      std::size_t sumSquares = 0;
+      std::vector<bool> counted(faults.size(), false);
+      for (std::size_t k = 0; k < faults.size(); ++k) {
+        if (!kept(k)) continue;
+        ++want.faults;
+        if (dict.syndromeOf(k) == dict.faultFreeSyndrome()) continue;
+        ++want.detectable;
+        if (counted[k]) continue;
+        std::size_t size = 0;
+        for (std::size_t j = k; j < faults.size(); ++j) {
+          if (kept(j) && same(j, k)) {
+            counted[j] = true;
+            ++size;
+          }
+        }
+        ++want.classes;
+        sumSquares += size * size;
+      }
+      const FaultDictionary::Resolution got =
+          dict.resolutionExcluding(hardened);
+      EXPECT_EQ(got.faults, want.faults) << "seed=" << seed;
+      EXPECT_EQ(got.detectable, want.detectable) << "seed=" << seed;
+      EXPECT_EQ(got.classes, want.classes) << "seed=" << seed;
+      EXPECT_DOUBLE_EQ(got.avgAmbiguity,
+                       want.detectable == 0
+                           ? 0.0
+                           : static_cast<double>(sumSquares) /
+                                 static_cast<double>(want.detectable))
+          << "seed=" << seed;
+    }
+  }
+}
+
 TEST(Dictionary, UnknownSyndromeFallsBackToNearest) {
   const rsn::Network net = makeFig1Network();
   const FaultDictionary dict = FaultDictionary::build(net);
@@ -111,14 +176,6 @@ TEST(Dictionary, UnknownSyndromeFallsBackToNearest) {
   EXPECT_TRUE(d.exactMatches.empty());
   EXPECT_FALSE(d.nearestMatches.empty());
   EXPECT_GT(d.nearestDistance, 0u);
-}
-
-TEST(Dictionary, ClassTableRenders) {
-  const rsn::Network net = makeFig1Network();
-  const FaultDictionary dict = FaultDictionary::build(net);
-  const std::string table = dict.classTable(10).render();
-  EXPECT_NE(table.find("class size"), std::string::npos);
-  EXPECT_NE(table.find("stuck("), std::string::npos);
 }
 
 // Property: on random networks, every detectable injected fault is

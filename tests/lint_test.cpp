@@ -307,8 +307,11 @@ std::set<std::string> referenceUnreachable(const rsn::Network& net) {
   const auto flat = rsn::FlatNetwork::lower(net);
   const std::size_t M = flat->muxCount();
   const std::size_t V = flat->vertexCount();
+  const auto controlOf = [&](std::size_t m) {
+    return net.mux(static_cast<rsn::MuxId>(m)).controlSegment;
+  };
   const auto addressable = [&](std::size_t m, std::size_t b) {
-    const std::uint32_t ctrl = flat->muxControl()[m];
+    const std::uint32_t ctrl = controlOf(m);
     if (ctrl == rsn::kNone) return true;
     const std::uint32_t len = flat->segLength()[ctrl];
     return len >= 32 || b < (std::size_t{1} << len);
@@ -317,8 +320,8 @@ std::set<std::string> referenceUnreachable(const rsn::Network& net) {
   for (std::size_t m = 0; m < M; ++m) {
     steer[m].assign(flat->muxArity()[m], 0);
     for (std::size_t b = 0; b < steer[m].size(); ++b)
-      steer[m][b] = addressable(m, b) &&
-                    (b == 0 || flat->muxControl()[m] == rsn::kNone);
+      steer[m][b] =
+          addressable(m, b) && (b == 0 || controlOf(m) == rsn::kNone);
   }
   const auto usable = [&](const rsn::FlatNetwork::Edge& e) {
     if (e.mux == rsn::kNone) return true;
@@ -349,7 +352,7 @@ std::set<std::string> referenceUnreachable(const rsn::Network& net) {
     bwd = sweep(flat->scanOut(), false);
     changed = false;
     for (std::size_t m = 0; m < M; ++m) {
-      const std::uint32_t ctrl = flat->muxControl()[m];
+      const std::uint32_t ctrl = controlOf(m);
       if (ctrl == rsn::kNone) continue;
       const graph::VertexId cv = flat->segmentVertex()[ctrl];
       if (fwd[cv] == 0 || bwd[cv] == 0) continue;

@@ -146,14 +146,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LintCleanGenerators,
 class FlatRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 
 // lower -> serialize -> reload must reproduce the exact arena for any
-// network the random generator can produce, and lowering twice (with
-// and without a spec) must be byte-deterministic.
+// network the random generator can produce, and lowering twice must be
+// byte-deterministic.
 TEST_P(FlatRoundTrip, LowerSerializeReloadCompare) {
   Rng rng(GetParam() * 71 + 5);
   const rsn::Network net = test::randomNetwork(rng);
-  const rsn::CriticalitySpec spec = test::randomSpecFor(net, rng);
-  const auto flat = rsn::FlatNetwork::lower(net, &spec);
-  const auto again = rsn::FlatNetwork::lower(net, &spec);
+  const auto flat = rsn::FlatNetwork::lower(net);
+  const auto again = rsn::FlatNetwork::lower(net);
   ASSERT_TRUE(*flat == *again) << "lowering is not deterministic";
 
   std::shared_ptr<const rsn::FlatNetwork> loaded;

@@ -109,6 +109,11 @@ TEST(Builder, MuxNeedsTwoBranches) {
 
 // ------------------------------------------------------------ scan graph
 
+/// Vertex of mux m under the numbering documented in flat.hpp.
+graph::VertexId vertexOfMux(const FlatNetwork& flat, MuxId m) {
+  return static_cast<graph::VertexId>(1 + flat.segmentCount() + 2 * m);
+}
+
 /// Vertices reachable from `start` over the arena's forward (or
 /// transposed) CSR, never entering `removed`.
 std::vector<bool> reach(const FlatNetwork& flat, graph::VertexId start,
@@ -162,9 +167,9 @@ TEST(ScanGraph, PaperFactM0DominatesC2) {
   const Network net = makeFig1Network();
   const auto flat = FlatNetwork::lower(net);
   const auto c2 = flat->segmentVertex()[net.findSegment("c2")];
-  const auto m0 = flat->muxVertex()[net.findMux("m0")];
-  const auto m1 = flat->muxVertex()[net.findMux("m1")];
-  const auto m2 = flat->muxVertex()[net.findMux("m2")];
+  const auto m0 = vertexOfMux(*flat, net.findMux("m0"));
+  const auto m1 = vertexOfMux(*flat, net.findMux("m1"));
+  const auto m2 = vertexOfMux(*flat, net.findMux("m2"));
   EXPECT_TRUE(reach(*flat, flat->scanOut(), false)[c2]);
   EXPECT_FALSE(reach(*flat, flat->scanOut(), false, m0)[c2]);
   // "The multiplexer m2 dominates m1":
@@ -182,7 +187,7 @@ TEST(ScanGraph, MuxBranchExitsRecorded) {
   // which the numbering places right after the mux vertex.
   EXPECT_EQ(flat->muxBranchExit()[begin],
             flat->segmentVertex()[net.findSegment("c2")]);
-  EXPECT_EQ(flat->muxBranchExit()[begin + 1], flat->muxVertex()[m0] + 1);
+  EXPECT_EQ(flat->muxBranchExit()[begin + 1], vertexOfMux(*flat, m0) + 1);
 }
 
 TEST(ScanGraph, DotContainsShapes) {

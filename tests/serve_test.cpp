@@ -719,16 +719,46 @@ TEST(FlatStore, CorruptArenaFileIsRejectedAndRepublished) {
     ASSERT_EQ(::pwrite(fd, garbage, sizeof garbage, 64), 8);
     ::close(fd);
   }
-  {
+  const auto relowersAndRepublishes = [&] {
     Server server(opts);
     StreamClient client(server);
     const json::Value resp = client.call("analyze", netlistParams(text));
     ASSERT_TRUE(resp.at("ok").asBool())
         << "corrupt disk tier must degrade to re-lowering, not fail";
-    const json::Value stats = client.call("stats");
-    EXPECT_EQ(stats.at("result").at("flat_store").at("map_hits").asUnsigned(),
-              0u);
-    EXPECT_GE(stats.at("result").at("flat_store").at("lowers").asUnsigned(),
+    const json::Value store =
+        client.call("stats").at("result").at("flat_store");
+    EXPECT_EQ(store.at("map_hits").asUnsigned(), 0u);
+    EXPECT_GE(store.at("lowers").asUnsigned(), 1u);
+    EXPECT_EQ(store.at("published").asUnsigned(), 1u);
+  };
+  relowersAndRepublishes();
+
+  // An arena an older release published (format field, the u32 at byte
+  // 8, set to 1) is likewise re-lowered and replaced by the current
+  // format, which the next daemon maps.
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const int fd = ::open(entry.path().c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    const std::uint32_t oldVersion = 1;
+    ASSERT_EQ(::pwrite(fd, &oldVersion, sizeof oldVersion, 8),
+              static_cast<ssize_t>(sizeof oldVersion));
+    ::close(fd);
+  }
+  relowersAndRepublishes();
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::shared_ptr<const rsn::FlatNetwork> mapped;
+    EXPECT_TRUE(rsn::FlatNetwork::mapFile(entry.path().string(), mapped).ok())
+        << entry.path();
+  }
+  {
+    Server server(opts);
+    StreamClient client(server);
+    ASSERT_TRUE(client.call("analyze", netlistParams(text)).at("ok").asBool());
+    EXPECT_GE(client.call("stats")
+                  .at("result")
+                  .at("flat_store")
+                  .at("map_hits")
+                  .asUnsigned(),
               1u);
   }
   fs::remove_all(dir);
