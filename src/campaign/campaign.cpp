@@ -96,8 +96,8 @@ namespace {
 /// definition of "lost", so Error maps to Lost rather than escaping the
 /// campaign.  Transient scenarios get one recovery retry: the
 /// reconfiguration sequence restores the reset configuration (the
-/// corrupted shift cells are overwritten by the next capture) and the
-/// access is re-attempted — success is the new
+/// corrupted update register with it) and the access is re-attempted —
+/// success is the new
 /// RecoveredAfterReconfiguration class.  Note the retry relies on the
 /// retargeter trying only the nominal recipe when no permanent fault is
 /// injected: it never power-cycles mid-access, so a still-pending upset

@@ -23,7 +23,7 @@
 //    per-probe cross-check: every pair's classification on the shared
 //    simulator is re-derived on a fresh simulator per access.
 //  * Transient: one-shot soft errors (sim::TransientUpset) that corrupt
-//    one segment's registers to X after a chosen CSU round.  A probe
+//    one segment's update register to X after a chosen CSU round.  A probe
 //    that fails under the upset is retried once after a 1687-style
 //    reconfiguration sequence (ScanSimulator::resetConfiguration); a
 //    retry that succeeds classifies as RecoveredAfterReconfiguration.

@@ -171,18 +171,19 @@ std::shared_ptr<const rsn::FlatNetwork> FlatStore::loadOrLower(
   }
 
   const std::string path = arenaPath(contentFingerprint);
-  std::shared_ptr<const rsn::FlatNetwork> mapped;
-  if (rsn::FlatNetwork::mapFile(path, mapped).ok()) {
-    if (describes(*mapped, net)) {
-      std::lock_guard<std::mutex> lock(mu_);
+  std::error_code ec;
+  if (std::filesystem::exists(path, ec)) {
+    std::shared_ptr<const rsn::FlatNetwork> mapped;
+    const bool fits =
+        rsn::FlatNetwork::mapFile(path, mapped).ok() && describes(*mapped, net);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (fits) {
       ++stats_.mapHits;
       return mapped;
     }
-    // Stale arena from a different design that hashed to the same name.
-    std::lock_guard<std::mutex> lock(mu_);
+    // Corrupt bytes, another format version, or a stale arena from a
+    // different design that hashed to the same name.
     ++stats_.rejected;
-    mapped.reset();
-    std::error_code ec;
     std::filesystem::remove(path, ec);
   }
 
@@ -192,7 +193,6 @@ std::shared_ptr<const rsn::FlatNetwork> FlatStore::loadOrLower(
     ++stats_.lowers;
   }
 
-  std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (!lowered->writeTo(path).ok()) return lowered;
 

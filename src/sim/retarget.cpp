@@ -26,8 +26,7 @@ using Edge = rsn::FlatNetwork::Edge;
 /// Edge admissibility under a set of simultaneous faults: a stuck mux
 /// admits an edge into it only if the stuck branch is in the edge's
 /// branch span (every stuck fault is checked); broken segments' vertices
-/// are impassable unless `allowBreak`.  Shared by the BFS below and the
-/// bounded enumeration.
+/// are impassable unless `allowBreak`.
 struct FaultEdges {
   rsn::FlatNetwork::Span<std::uint32_t> pool;
   std::vector<graph::VertexId> broken;
@@ -64,13 +63,10 @@ struct FaultEdges {
   }
 };
 
-/// BFS with parent pointers between two vertices of the scan graph.
+/// BFS with parent pointers between two vertices of the scan graph,
+/// ignoring faults: the nominal recipe's path.
 std::optional<std::vector<graph::VertexId>> findPath(
-    const rsn::FlatNetwork& flat, const std::vector<fault::Fault>& faults,
-    graph::VertexId from, graph::VertexId to, bool allowBreak) {
-  const FaultEdges edges(flat, faults, allowBreak);
-  if (edges.blocksVertex(from) || edges.blocksVertex(to)) return std::nullopt;
-
+    const rsn::FlatNetwork& flat, graph::VertexId from, graph::VertexId to) {
   const auto offsets = flat.fwdOffsets();
   const auto row = flat.fwdEdges();
   std::vector<graph::VertexId> parent(flat.vertexCount(), graph::kNoVertex);
@@ -83,7 +79,7 @@ std::optional<std::vector<graph::VertexId>> findPath(
     work.pop();
     for (std::uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
       const graph::VertexId s = row[i].other;
-      if (!edges.allows(v, row[i]) || seen[s]) continue;
+      if (seen[s]) continue;
       seen[s] = true;
       parent[s] = v;
       work.push(s);
@@ -432,8 +428,8 @@ RetargetResult Retargeter::access(rsn::InstrumentId i,
   // instrument's own segment is broken (dead whatever the recipe).
   bool stop = breaksSegment(faults, seg);
   if (!stop) {  // the nominal recipe: paths and selections ignore faults
-    const auto prefix = findPath(*flat_, {}, flat_->scanIn(), segV, false);
-    const auto suffix = findPath(*flat_, {}, segV, flat_->scanOut(), false);
+    const auto prefix = findPath(*flat_, flat_->scanIn(), segV);
+    const auto suffix = findPath(*flat_, segV, flat_->scanOut());
     stop = prefix && suffix &&
            attempt(joinSelections(*flat_, *prefix, *suffix, {}), false);
   }

@@ -38,25 +38,24 @@ std::string toString(const std::vector<Bit>& bits) {
   return out;
 }
 
-ScanSimulator::ScanSimulator(const rsn::Network& net) : net_(&net) { reset(); }
+ScanSimulator::ScanSimulator(const rsn::Network& net)
+    : net_(&net), state_(net.segments().size()) {
+  for (rsn::SegmentId s = 0; s < state_.size(); ++s)
+    state_[s].update.resize(net.segment(s).length);
+  reset();
+}
 
 void ScanSimulator::reset() {
-  state_.assign(net_->segments().size(), {});
-  for (rsn::SegmentId s = 0; s < net_->segments().size(); ++s) {
-    const auto len = net_->segment(s).length;
-    state_[s].shift.assign(len, Bit::Zero);
-    state_[s].update.assign(len, Bit::Zero);
-    state_[s].instrumentValue.clear();
-  }
-  externalAddress_.assign(net_->muxes().size(), 0);
+  for (SegmentState& st : state_) st.instrumentValue.clear();
+  resetConfiguration();
   faults_.clear();
   upset_.reset();
   roundsSinceArm_ = 0;
 }
 
 void ScanSimulator::resetConfiguration() {
-  for (rsn::SegmentId s = 0; s < net_->segments().size(); ++s)
-    state_[s].update.assign(net_->segment(s).length, Bit::Zero);
+  for (SegmentState& st : state_)
+    std::fill(st.update.begin(), st.update.end(), Bit::Zero);
   externalAddress_.assign(net_->muxes().size(), 0);
 }
 
@@ -83,11 +82,12 @@ void ScanSimulator::setInstrumentValue(rsn::InstrumentId i,
   state_[seg].instrumentValue = std::move(value);
 }
 
-std::vector<Bit> ScanSimulator::instrumentUpdate(rsn::InstrumentId i) const {
+const std::vector<Bit>& ScanSimulator::instrumentUpdate(
+    rsn::InstrumentId i) const {
   return segmentUpdate(net_->instrument(i).segment);
 }
 
-std::vector<Bit> ScanSimulator::segmentUpdate(rsn::SegmentId s) const {
+const std::vector<Bit>& ScanSimulator::segmentUpdate(rsn::SegmentId s) const {
   RRSN_CHECK(s < state_.size(), "segment id out of range");
   return state_[s].update;
 }
@@ -157,57 +157,41 @@ std::vector<Bit> ScanSimulator::csu(const std::vector<Bit>& in) {
                  std::to_string(in.size()) + " vs " +
                  std::to_string(path->totalBits) + " bits)");
 
-  // Capture: instrument segments capture the instrument value, plain
-  // segments recirculate their update value.
+  // lo and one past hi of the broken cells; no break: lo = B, hiEnd = 0.
+  const std::size_t bits = path->totalBits;
+  std::size_t lo = bits, hiEnd = 0, offset = 0;
+  for (rsn::SegmentId s : path->segments) {
+    const std::size_t len = state_[s].update.size();
+    if (isBroken(s)) {
+      lo = std::min(lo, offset);
+      hiEnd = offset + len;
+    }
+    offset += len;
+  }
+
+  // Instrument segments capture the instrument value, plain segments
+  // their update value.  Captured cell k leaves across cells k..B-1 and
+  // the bit fed for cell k crosses cells 0..k; a broken cell X-poisons
+  // what it holds or passes.
+  std::vector<Bit> out(bits);
+  std::size_t k = 0;
   for (rsn::SegmentId s : path->segments) {
     SegmentState& st = state_[s];
-    st.shift = st.instrumentValue.empty() ? st.update : st.instrumentValue;
-    if (isBroken(s)) std::fill(st.shift.begin(), st.shift.end(), Bit::X);
-  }
-
-  // Shift: one concatenated register, scan-in side at index 0.  A broken
-  // segment poisons its cells after every clock, so anything shifted
-  // through it leaves as X.  Several simultaneous breaks poison several
-  // disjoint ranges.
-  std::vector<Bit> reg;
-  reg.reserve(path->totalBits);
-  std::vector<std::pair<std::size_t, std::size_t>> brokenRanges;
-  for (rsn::SegmentId s : path->segments) {
-    if (isBroken(s))
-      brokenRanges.emplace_back(reg.size(), reg.size() + state_[s].shift.size());
-    reg.insert(reg.end(), state_[s].shift.begin(), state_[s].shift.end());
-  }
-
-  std::vector<Bit> out;
-  out.reserve(path->totalBits);
-  for (std::size_t t = 0; t < in.size(); ++t) {
-    out.push_back(reg.back());
-    for (std::size_t i = reg.size() - 1; i > 0; --i) reg[i] = reg[i - 1];
-    reg[0] = in[t];
-    for (const auto& [first, last] : brokenRanges) {
-      for (std::size_t i = first; i < last; ++i) reg[i] = Bit::X;
+    const std::vector<Bit>& captured =
+        st.instrumentValue.empty() ? st.update : st.instrumentValue;
+    for (std::size_t j = 0; j < st.update.size(); ++j, ++k) {
+      out[bits - 1 - k] = k < hiEnd ? Bit::X : captured[j];
+      st.update[j] = k >= lo ? Bit::X : in[bits - 1 - k];
     }
   }
 
-  // Scatter the register back and update.
-  std::size_t offset = 0;
-  for (rsn::SegmentId s : path->segments) {
-    SegmentState& st = state_[s];
-    std::copy(reg.begin() + static_cast<std::ptrdiff_t>(offset),
-              reg.begin() + static_cast<std::ptrdiff_t>(offset + st.shift.size()),
-              st.shift.begin());
-    st.update = st.shift;
-    offset += st.shift.size();
-  }
-
   // A pending transient upset fires once the configured CSU round has
-  // completed: the target segment's stored state — shift *and* update
-  // register, on or off the active path — is corrupted to X.  The upset
-  // is consumed; subsequent rounds operate on clean silicon again.
+  // completed: the target segment's update register, on or off the
+  // active path, is corrupted to X.  The upset is consumed; subsequent
+  // rounds operate on clean silicon again.
   if (upset_ && roundsSinceArm_ == upset_->round) {
-    SegmentState& st = state_[upset_->segment];
-    std::fill(st.shift.begin(), st.shift.end(), Bit::X);
-    std::fill(st.update.begin(), st.update.end(), Bit::X);
+    std::vector<Bit>& update = state_[upset_->segment].update;
+    std::fill(update.begin(), update.end(), Bit::X);
     upset_.reset();
   }
   ++roundsSinceArm_;

@@ -3,15 +3,17 @@
 // Models the capture–shift–update (CSU) access protocol of IEEE Std 1687:
 // every scan segment has a shift register and a shadow update register;
 // multiplexer addresses are driven by the update value of their control
-// segment (or set externally for TAP-controlled muxes).  The simulator
-// supports permanent-fault injection with three-valued logic: a broken
-// segment poisons every bit shifted through it with X; a stuck
-// multiplexer ignores its address.  Any number of simultaneous
-// permanent faults can be injected (the multi-fault campaigns probe
-// defect pairs), and a one-shot *transient upset* can be armed: after a
-// chosen CSU round completes, one segment's registers are corrupted to
-// X for that single event — the segment behaves normally afterwards,
-// but the corruption persists in its state until overwritten.
+// segment (or set externally for TAP-controlled muxes).  Capture
+// overwrites the path's shift registers before anything reads them, so
+// the simulator keeps only update registers and computes a CSU's shift
+// in closed form.  Faults use three-valued logic: a broken segment
+// poisons every bit shifted through it with X; a stuck multiplexer
+// ignores its address.  Any number of simultaneous permanent faults can
+// be injected (the multi-fault campaigns probe defect pairs), and a
+// one-shot *transient upset* can be armed: after a chosen CSU round
+// completes, one segment's update register is corrupted to X for that
+// single event — the segment behaves normally afterwards, but the
+// corruption persists in its state until overwritten.
 //
 // The simulator is the ground truth the structural analysis is tested
 // against, and powers the paper's two application scenarios in
@@ -44,9 +46,9 @@ struct PathInfo {
 };
 
 /// One-shot soft error: after CSU round `round` (counted from arming,
-/// round 0 = the first CSU) completes, every cell of `segment`'s shift
-/// and update registers is corrupted to X.  The upset then disappears —
-/// only its footprint in the register state remains.
+/// round 0 = the first CSU) completes, every cell of `segment`'s update
+/// register is corrupted to X.  The upset then disappears — only its
+/// footprint in the register state remains.
 struct TransientUpset {
   rsn::SegmentId segment = rsn::kNone;
   std::uint32_t round = 0;
@@ -60,17 +62,17 @@ class ScanSimulator {
 
   const rsn::Network& network() const { return *net_; }
 
-  /// Returns to the power-up state: all registers zero, no fault, no
-  /// pending upset, all external addresses zero.
+  /// Returns to the power-up state: all update registers zero, no
+  /// instrument value, no fault, no pending upset, all external
+  /// addresses zero.  Registers are rewritten in place.
   void reset();
 
   /// Restores the power-up *configuration* only: update registers and
-  /// external mux addresses return to their reset values, while the
-  /// shift registers keep whatever (possibly X-corrupted) content they
-  /// hold.  This is the 1687-style reconfiguration sequence a
-  /// controller applies to recover from a transient upset — the next
-  /// accesses rewrite the data path, they do not need a power cycle.
-  /// Injected permanent faults and a still-pending upset are untouched.
+  /// external mux addresses return to their reset values.  This is the
+  /// 1687-style reconfiguration sequence a controller applies to recover
+  /// from a transient upset — the next accesses rewrite the data path,
+  /// they do not need a power cycle.  Instrument values, injected
+  /// permanent faults and a still-pending upset are untouched.
   void resetConfiguration();
 
   /// Injects a single permanent fault (replacing all previous ones).
@@ -98,10 +100,10 @@ class ScanSimulator {
 
   /// Update-register content of the instrument's segment — what the
   /// instrument receives from the RSN.
-  std::vector<Bit> instrumentUpdate(rsn::InstrumentId i) const;
+  const std::vector<Bit>& instrumentUpdate(rsn::InstrumentId i) const;
 
   /// Update-register content of any segment.
-  std::vector<Bit> segmentUpdate(rsn::SegmentId s) const;
+  const std::vector<Bit>& segmentUpdate(rsn::SegmentId s) const;
 
   /// Resolved selection of a mux under the current configuration and
   /// fault: branch index, or kInvalidSelection if the address is X.
@@ -114,6 +116,10 @@ class ScanSimulator {
   /// exactly path.totalBits entries; the returned vector contains the
   /// bits that left through scan-out (captured image, scan-out-nearest
   /// cell first).  Throws ValidationError if there is no valid path.
+  /// Closed form of the B clocks, path cells 0..B-1 from scan-in, lo/hi
+  /// the lowest/highest broken cell: output bit t is X iff hi >= B-1-t,
+  /// else captured cell B-1-t; cell k updates to X iff lo <= k, else to
+  /// in[B-1-k].  O(B).
   std::vector<Bit> csu(const std::vector<Bit>& in);
 
   /// Shift-in image builder: the input stream that loads `image` (one
@@ -127,8 +133,8 @@ class ScanSimulator {
                                              rsn::SegmentId seg);
 
  private:
+  /// What an access can observe of a segment (no shift register).
   struct SegmentState {
-    std::vector<Bit> shift;
     std::vector<Bit> update;
     std::vector<Bit> instrumentValue;  ///< empty: capture update instead
   };

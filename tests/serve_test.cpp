@@ -707,9 +707,14 @@ TEST(FlatStore, CorruptArenaFileIsRejectedAndRepublished) {
   ServerOptions opts;
   opts.cacheDir = dir.string();
   {
+    // A cold start finds no file: a plain miss, nothing rejected.
     Server server(opts);
     StreamClient client(server);
     ASSERT_TRUE(client.call("analyze", netlistParams(text)).at("ok").asBool());
+    const json::Value store =
+        client.call("stats").at("result").at("flat_store");
+    EXPECT_EQ(store.at("rejected").asUnsigned(), 0u);
+    EXPECT_EQ(store.at("published").asUnsigned(), 1u);
   }
   // Flip bytes in the published arena.
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -730,6 +735,8 @@ TEST(FlatStore, CorruptArenaFileIsRejectedAndRepublished) {
     EXPECT_EQ(store.at("map_hits").asUnsigned(), 0u);
     EXPECT_GE(store.at("lowers").asUnsigned(), 1u);
     EXPECT_EQ(store.at("published").asUnsigned(), 1u);
+    // The file on disk was there and failed validation.
+    EXPECT_EQ(store.at("rejected").asUnsigned(), 1u);
   };
   relowersAndRepublishes();
 

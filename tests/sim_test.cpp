@@ -485,6 +485,122 @@ TEST(MultiFault, StuckMuxAndBreakCombine) {
   for (Bit b : sim.segmentUpdate(net.findSegment("c1"))) EXPECT_EQ(b, Bit::X);
 }
 
+// ------------------------------------------ closed-form shift reference
+
+/// One CSU clocked cell by cell, the way ScanSimulator::csu is specified
+/// but does not compute it: capture the path image (the instrument
+/// value, else the update register; a broken segment captures X), then
+/// B clocks that each output the last cell, shift by one, feed in[t]
+/// and re-poison every broken range.  `instrumentValue` is what the
+/// test set per segment (empty: none).  Returns the scan-out stream;
+/// `update` receives every segment's expected update register.
+std::vector<Bit> referenceCsu(
+    const ScanSimulator& sim,
+    const std::vector<std::vector<Bit>>& instrumentValue,
+    const std::vector<Bit>& in, std::vector<std::vector<Bit>>& update) {
+  const rsn::Network& net = sim.network();
+  update.clear();
+  for (rsn::SegmentId s = 0; s < net.segments().size(); ++s)
+    update.push_back(sim.segmentUpdate(s));
+  const auto broken = [&](rsn::SegmentId s) {
+    const auto& faults = sim.injectedFaults();
+    return std::find(faults.begin(), faults.end(), Fault::segmentBreak(s)) !=
+           faults.end();
+  };
+
+  const auto path = sim.activePath();
+  std::vector<Bit> reg;
+  std::vector<std::pair<std::size_t, std::size_t>> brokenRanges;
+  for (rsn::SegmentId s : path->segments) {
+    const std::vector<Bit>& captured =
+        instrumentValue[s].empty() ? update[s] : instrumentValue[s];
+    if (broken(s)) {
+      brokenRanges.emplace_back(reg.size(), reg.size() + captured.size());
+      reg.insert(reg.end(), captured.size(), Bit::X);
+    } else {
+      reg.insert(reg.end(), captured.begin(), captured.end());
+    }
+  }
+  std::vector<Bit> out;
+  for (const Bit b : in) {
+    out.push_back(reg.back());
+    for (std::size_t i = reg.size() - 1; i > 0; --i) reg[i] = reg[i - 1];
+    reg[0] = b;
+    for (const auto& [first, last] : brokenRanges)
+      for (std::size_t i = first; i < last; ++i) reg[i] = Bit::X;
+  }
+  std::size_t cell = 0;
+  for (rsn::SegmentId s : path->segments)
+    for (Bit& b : update[s]) b = reg[cell++];
+  return out;
+}
+
+// On seeded random networks, every CSU equals the per-clock reference:
+// the scan-out stream and every segment's update register (off-path
+// ones unchanged).  Networks carry 0, 1 or 2 broken segments from the
+// reset path and, on odd seeds, a stuck mux; configurations move by
+// random shift-in streams, instruments present random values, and a
+// lost path is recovered through resetConfiguration().
+TEST(ClosedFormShift, EveryCsuMatchesThePerClockReference) {
+  const auto randomBit = [](Rng& rng) {
+    const std::uint64_t r = rng.below(8);
+    return r == 0 ? Bit::X : bitOf(r % 2 == 1);
+  };
+  std::size_t breakOnPath = 0;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed * 7919 + 3);
+    test::RandomNetOptions opt;
+    opt.targetSegments = 12 + seed % 20;
+    const rsn::Network net = test::randomNetwork(rng, opt);
+    ScanSimulator sim(net);
+
+    std::vector<Fault> faults;
+    const fault::FaultUniverse universe(net);
+    std::vector<Fault> stucks;
+    for (const Fault& f : universe.faults())
+      if (f.kind == fault::FaultKind::MuxStuck) stucks.push_back(f);
+    if (seed % 2 == 1 && !stucks.empty())
+      faults.push_back(stucks[rng.below(stucks.size())]);
+    sim.injectFaults(faults);
+    std::vector<rsn::SegmentId> resetPath = sim.activePath()->segments;
+    rng.shuffle(resetPath);
+    for (std::size_t b = 0; b < seed % 3 && b < resetPath.size(); ++b)
+      faults.push_back(Fault::segmentBreak(resetPath[b]));
+    sim.injectFaults(faults);
+
+    std::vector<std::vector<Bit>> instrumentValue(net.segments().size());
+    for (std::size_t round = 0; round < 24; ++round) {
+      for (rsn::InstrumentId i = 0; i < net.instruments().size(); ++i) {
+        if (!rng.chance(0.3)) continue;
+        const rsn::SegmentId s = net.instrument(i).segment;
+        std::vector<Bit> value(net.segment(s).length);
+        for (Bit& b : value) b = randomBit(rng);
+        sim.setInstrumentValue(i, value);
+        instrumentValue[s] = std::move(value);
+      }
+      if (!sim.activePath()) sim.resetConfiguration();
+      const auto path = sim.activePath();
+      ASSERT_TRUE(path) << "seed=" << seed;
+      std::vector<Bit> in(path->totalBits);
+      for (Bit& b : in) b = randomBit(rng);
+
+      std::vector<std::vector<Bit>> update;
+      const std::vector<Bit> expected =
+          referenceCsu(sim, instrumentValue, in, update);
+      EXPECT_EQ(sim.csu(in), expected) << "seed=" << seed << " round=" << round;
+      for (rsn::SegmentId s = 0; s < net.segments().size(); ++s)
+        EXPECT_EQ(sim.segmentUpdate(s), update[s])
+            << "seed=" << seed << " round=" << round << " segment=" << s;
+      breakOnPath += std::any_of(
+          path->segments.begin(), path->segments.end(), [&](rsn::SegmentId s) {
+            return std::find(faults.begin(), faults.end(),
+                             Fault::segmentBreak(s)) != faults.end();
+          });
+    }
+  }
+  EXPECT_GT(breakOnPath, 50u * 24 / 3);  // rounds that cross a break
+}
+
 // ------------------------------------------------- transient upsets
 
 TEST(Transient, UpsetFiresOnceAfterConfiguredRound) {
@@ -505,8 +621,8 @@ TEST(Transient, UpsetFiresOnceAfterConfiguredRound) {
   sim.csu(zeros());
   EXPECT_TRUE(sim.transientPending());
   EXPECT_EQ(sim.segmentUpdate(target), bits("000"));
-  // Round 1 completes, then the upset fires: shift and update of the
-  // target X-corrupted, the upset consumed.
+  // Round 1 completes, then the upset fires: the target's update
+  // register X-corrupted, the upset consumed.
   sim.csu(zeros());
   EXPECT_FALSE(sim.transientPending());
   for (Bit b : sim.segmentUpdate(target)) EXPECT_EQ(b, Bit::X);
