@@ -27,21 +27,48 @@
 //         /       \            counted, never silently dropped)
 //      Proven   Vulnerable    (each carrying a witness)
 //
-// The engine has two tiers.  The *fast tier* decides whole fault rows
-// from the fault-free analysis alone: a segment break whose vertex
-// controls no mux, is not control-critical (does not dominate any
-// reachable control register) and neither dominates nor post-dominates
-// any accessible instrument cannot change the control fixpoint or cut
-// any access — the row equals the fault-free row.  Likewise a mux
-// stuck on a branch that leaves every guard decision of that mux
-// unchanged under the fault-free selectable sets.  The *slow tier*
-// replays the exact access-mode composition of the batched syndrome
-// oracle (strict / clean-suffix / depth-bounded; see diag/batched.cpp)
-// with an independent plain-BFS sweep and a budgeted control fixpoint —
-// so certifier verdicts are definitionally comparable to
-// diag::BatchedSyndromeEngine rows, and the cross-check mode replays
-// Vulnerable rows and sampled Proven rows through that engine,
-// treating any divergence as a hard error.
+// The engine has three tiers, all reading fault-free base analyses
+// that the constructor builds once per configuration level: the
+// unbounded level, plus one per demand-depth limit d (the
+// depth-bounded access mode's level) that some segment break reads.
+// Each level holds its accessible instruments, the DFS intervals of
+// its dominator and post-dominator trees over the open subgraph, and
+// its control-critical vertices (those that dominate a reachable
+// control register).
+//
+//  * The *fast tier* copies the fault-free row.  A segment break whose
+//    vertex controls no mux, is not control-critical and neither
+//    dominates nor post-dominates any accessible instrument cannot
+//    change the control fixpoint or cut any access; likewise a mux
+//    stuck on a branch that leaves every guard decision of that mux
+//    unchanged under the fault-free selectable sets.
+//  * The *local tier* decides the rows whose damage is local (the
+//    paper's Sec. IV-B rule).  A break at v that controls no mux and
+//    is control-critical neither at the unbounded level nor at level
+//    segDepth(v) leaves both control fixpoints at their fault-free
+//    sets, so only the accessible instruments inside v's two subtrees
+//    change, each decided from the base trees (clean-suffix by one
+//    walk bounded by v's dominator subtree, depth-bounded from level
+//    segDepth(v), else a dominator cut).  A mux stuck on a branch the
+//    fault-free fixpoint keeps selectable leaves forward reach intact
+//    and loses exactly the instruments post-dominated by the exits of
+//    its other branches (a guard cut).  Instruments sorted by tree
+//    entry make each subtree two binary searches.
+//  * The *fixpoint tier* takes every other row (control-register and
+//    control-critical breaks, stucks on a branch the fixpoint
+//    cleared).  It replays the exact access-mode composition of the
+//    batched syndrome oracle (strict / clean-suffix / depth-bounded;
+//    see diag/batched.cpp) with an independent plain-BFS sweep and a
+//    budgeted control fixpoint — so certifier verdicts are
+//    definitionally comparable to diag::BatchedSyndromeEngine rows,
+//    and the cross-check mode replays Vulnerable rows and sampled
+//    Proven rows through that engine, treating any divergence as a
+//    hard error.
+//
+// The local tier emits the verdicts and witness kinds the fixpoint
+// tier would emit for the same rows (DESIGN §16 writes out why); it
+// records no collapsed mux and, like the fast tier, runs no per-fault
+// fixpoint, so its rows are decided at any fixpointBudget.
 //
 // The certifier is the production accessibility engine: the fault
 // dictionary (diag::FaultDictionary) and the campaign oracle
@@ -55,7 +82,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -142,7 +171,8 @@ struct CertifySummary {
   std::size_t vulnerableRead = 0, vulnerableWrite = 0;
   std::size_t unknownRead = 0, unknownWrite = 0;
   std::size_t fastRows = 0;      ///< rows decided by the fast tier
-  std::size_t fixpointRows = 0;  ///< rows that ran the slow tier
+  std::size_t localRows = 0;     ///< rows decided by the local tier
+  std::size_t fixpointRows = 0;  ///< rows that ran the fixpoint tier
   std::size_t controlCollapseCells = 0;  ///< property (3) violations
   std::size_t crossCheckedRows = 0;
 
@@ -190,9 +220,10 @@ class CertificationResult {
   /// Per-instrument hosting segment (witness subjects for Unreachable).
   std::vector<std::uint32_t> instrumentSegment;
   /// Tier accounting, filled by Certifier::run (not derivable from the
-  /// cells): rows decided by the fast tier, rows that ran the slow
-  /// tier, and rows replayed through the syndrome oracle.
+  /// cells): rows decided by the fast and the local tier, rows that ran
+  /// the fixpoint tier, and rows replayed through the syndrome oracle.
   std::size_t fastRowCount = 0;
+  std::size_t localRowCount = 0;
   std::size_t fixpointRowCount = 0;
   std::size_t crossCheckedRowCount = 0;
 
@@ -206,11 +237,12 @@ class CertificationResult {
 };
 
 /// The certifier.  Construction runs the fault-free base analysis
-/// (final selectable sets, strict reaches, topological order of the
-/// open subgraph, immediate dominators and post-dominators with DFS
-/// interval numbering, the control-critical vertex set, and per-
-/// (mux, branch) stuck-safety masks); run() fans the per-fault tiers
-/// out over the thread pool.
+/// (topological order of the data graph, then per configuration level
+/// the final selectable sets, strict reaches, dominator and post-
+/// dominator DFS intervals and the control-critical vertex set; the
+/// accessible instruments sorted by tree entry, the clean-to-scan-out
+/// reach and per-(mux, branch) stuck-safety masks); run() fans the
+/// per-fault tiers out over the thread pool.
 class Certifier {
  public:
   explicit Certifier(const rsn::Network& net);
@@ -224,8 +256,38 @@ class Certifier {
 
  private:
   struct Scratch;
+  struct TopoOrder;
+
+  /// One configuration level's fault-free analysis.  An ancestor test
+  /// is two interval comparisons; a vertex outside a tree has entry 0,
+  /// which no test matches.
+  struct Level {
+    DynamicBitset accessible;    ///< per instrument
+    DynamicBitset ctrlCritical;  ///< per vertex: dominates a reachable ctrl reg
+    std::vector<std::uint32_t> domTin, domTout, pdomTin, pdomTout;
+
+    bool dominates(graph::VertexId a, graph::VertexId v) const {
+      return domTin[a] != 0 && domTin[v] != 0 && domTin[a] <= domTin[v] &&
+             domTout[v] <= domTout[a];
+    }
+    bool postDominates(graph::VertexId a, graph::VertexId v) const {
+      return pdomTin[a] != 0 && pdomTin[v] != 0 &&
+             pdomTin[a] <= pdomTin[v] && pdomTout[v] <= pdomTout[a];
+    }
+  };
+
+  /// The tier that decided a row; Fixpoint means the row still needs
+  /// the per-fault fixpoint.
+  enum class Tier : std::uint8_t { Fast, Local, Fixpoint };
 
   void buildBase();
+
+  /// Runs the fault-free control fixpoint from `sel` (left at the final
+  /// sets) and analyzes the level it reaches.
+  Level analyzeLevel(std::uint64_t* sel, const TopoOrder& topo,
+                     Scratch& s) const;
+
+  const Level& levelOfDepth(std::uint32_t depth) const;
 
   void sweep(bool forward, const std::uint64_t* sel, bool tolerate,
              graph::VertexId brokenV, graph::VertexId source,
@@ -239,29 +301,50 @@ class Certifier {
                        std::uint64_t* sel, DynamicBitset& inStrict,
                        Scratch& s, std::size_t budget) const;
 
-  /// Slow tier: the oracle's exact access-mode composition.  Fills
+  /// Fixpoint tier: the oracle's exact access-mode composition.  Fills
   /// s.obs / s.set and the per-instrument first-proving mode bytes;
   /// returns false on budget exhaustion (row is Unknown).
   bool analyzeRow(const fault::Fault& f, Scratch& s,
                   std::size_t budget) const;
 
-  /// Fast tier: decides the whole row from the base analysis when
-  /// sound; returns false when the row needs the slow tier.
-  bool tryFastRow(const fault::Fault& f, std::uint16_t* rowCells) const;
+  /// Fast and local tiers for one fault: fill `row` and name the tier,
+  /// or return Tier::Fixpoint with `row` untouched.
+  Tier breakRow(rsn::SegmentId seg, std::uint16_t* row, Scratch& s) const;
+  Tier stuckRow(const fault::Fault& f, std::uint16_t* row) const;
 
-  bool domAncestor(graph::VertexId a, graph::VertexId v) const;
-  bool pdomAncestor(graph::VertexId a, graph::VertexId v) const;
+  /// The accessible instruments strictly below v in the unbounded
+  /// dominator and post-dominator trees, as slices of instByDom_ and
+  /// instByPdom_.
+  std::pair<std::span<const std::uint64_t>, std::span<const std::uint64_t>>
+  instrumentsBelow(graph::VertexId v) const;
+
+  /// The fault-free row under a break at `brokenV` (kNoVertex for a
+  /// stuck): SelfFault at brokenV, `proven` where accessible, else
+  /// Unreachable.
+  void fillFaultFree(std::uint16_t* row, graph::VertexId brokenV,
+                     WitnessKind proven) const;
+
+  /// Marks in s.walkMarks the vertices of v's dominator subtree that a
+  /// forward walk from v over open edges reaches without entering a
+  /// control register; s.walk lists them, so the caller clears only
+  /// those marks.
+  void walkCleanSubtree(graph::VertexId v, Scratch& s) const;
 
   std::shared_ptr<const rsn::FlatNetwork> flat_;
 
   // ------------------------------------------------ fault-free base
   std::vector<std::uint64_t> sel0_;   ///< final fault-free selectable sets
-  DynamicBitset inStrict0_, outStrict0_;
-  DynamicBitset accessible0_;         ///< per instrument (property 1)
-  std::vector<std::uint32_t> topoIdx_, rtopoIdx_;
-  std::vector<graph::VertexId> idom_, ipdom_;
-  std::vector<std::uint32_t> domTin_, domTout_, pdomTin_, pdomTout_;
-  DynamicBitset ctrlCritical_;        ///< dominates a reachable ctrl reg
+  /// levels_[0] is the unbounded level (its `accessible` is property
+  /// 1); depthLevel_ maps each demand-depth limit a break row reads,
+  /// sorted, to its level (0 when the limit clears no branch).
+  std::vector<Level> levels_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> depthLevel_;
+  /// Accessible instruments as sorted `entry << 32 | instrument` keys,
+  /// by unbounded dominator and post-dominator tree entry.
+  std::vector<std::uint64_t> instByDom_, instByPdom_;
+  /// Vertices that reach scan-out under sel0_ without crossing a
+  /// control register (a break never changes this reach).
+  DynamicBitset cleanToOut_;
   std::vector<std::uint64_t> stuckSafe_;  ///< sel-layout (mux, branch) mask
 };
 

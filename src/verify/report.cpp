@@ -122,6 +122,7 @@ json::Value reportJson(const rsn::Network& net,
   summary["unknown_read"] = static_cast<std::uint64_t>(s.unknownRead);
   summary["unknown_write"] = static_cast<std::uint64_t>(s.unknownWrite);
   summary["fast_rows"] = static_cast<std::uint64_t>(s.fastRows);
+  summary["local_rows"] = static_cast<std::uint64_t>(s.localRows);
   summary["fixpoint_rows"] = static_cast<std::uint64_t>(s.fixpointRows);
   summary["control_collapse_cells"] =
       static_cast<std::uint64_t>(s.controlCollapseCells);

@@ -198,7 +198,8 @@ void expectCertifierMatchesOracle(const rsn::Network& net,
   const verify::CertifySummary summary = result.summary();
   ASSERT_EQ(summary.unknownCells(), 0u);
   // Every row is decided by exactly one tier.
-  EXPECT_EQ(summary.fastRows + summary.fixpointRows, result.universe.size())
+  EXPECT_EQ(summary.fastRows + summary.localRows + summary.fixpointRows,
+            result.universe.size())
       << net.name();
   const diag::BatchedSyndromeEngine oracle(net);
   for (std::size_t fi = 0; fi < result.universe.size(); fi += stride) {

@@ -522,7 +522,8 @@ int cmdCertify(const Args& a) {
             << " instruments, " << s.reachableInstruments << "/"
             << s.instruments << " reachable fault-free\n"
             << "tiers: " << withThousands(std::uint64_t{s.fastRows})
-            << " rows fast, " << withThousands(std::uint64_t{s.fixpointRows})
+            << " rows fast, " << withThousands(std::uint64_t{s.localRows})
+            << " rows local, " << withThousands(std::uint64_t{s.fixpointRows})
             << " rows fixpoint, "
             << withThousands(std::uint64_t{s.crossCheckedRows})
             << " rows cross-checked against the syndrome oracle\n\n"
